@@ -4,7 +4,13 @@
 // networks. On a host with fewer cores than PEs the parallel rows measure
 // Time Warp overhead instead of speed-up; the harness reports the core
 // count so the reader can judge.
+//
+// Every row of one N runs the same workload (steps_for(n) steps): the 1-PE
+// row on the sequential kernel, the others on Time Warp. A row whose
+// committed-event count differs from the sequential row's is not a
+// speed-up measurement, so the harness exits non-zero instead.
 
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,18 +30,25 @@ int main(int argc, char** argv) {
       {"N", "LPs", "PEs", "events_per_s", "committed", "rolled_back"});
   std::vector<hp::obs::MetricsReport> metrics;
   for (const std::int32_t n : sizes) {
+    std::int64_t first_committed = -1;
     for (const std::uint32_t pes : scale.pe_counts) {
-      hp::core::SimulationResult r;
+      auto o = hp::bench::tw_options(n, 0.5, pes, 64);
       if (pes == 1) {
-        hp::core::SimulationOptions o;
-        o.model.n = n;
-        o.model.injector_fraction = 0.5;
-        o.model.steps = static_cast<std::uint32_t>(2 * n);
-        r = hp::core::run_hotpotato(o);
+        o.kernel = hp::core::Kernel::Sequential;
       } else {
-        auto o = hp::bench::tw_options(n, 0.5, pes, 64);
         hp::bench::apply_monitor_flags(cli, o.engine);
-        r = hp::core::run_hotpotato(o);
+      }
+      hp::core::SimulationResult r = hp::core::run_hotpotato(o);
+      const auto committed =
+          static_cast<std::int64_t>(r.engine.committed_events());
+      if (first_committed < 0) first_committed = committed;
+      if (committed != first_committed) {
+        std::fprintf(stderr,
+                     "fig5_speedup: N=%d rows ran different workloads: %u PEs "
+                     "committed %lld events, the first row %lld\n",
+                     n, pes, static_cast<long long>(committed),
+                     static_cast<long long>(first_committed));
+        return 1;
       }
       table.add_row({static_cast<std::int64_t>(n),
                      static_cast<std::int64_t>(n) * n,

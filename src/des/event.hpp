@@ -37,27 +37,40 @@ inline constexpr std::size_t kMaxPayload = 96;
 // array-new per 1024 envelopes instead of one heap round trip per envelope.
 inline constexpr std::size_t kSlabEnvelopes = 1024;
 
-enum class EventStatus : std::uint8_t { Free, Pending, Processed };
+// Time Warp envelope lifecycle (the other kernels skip InFlight): Free (on
+// a pool free list) -> InFlight (minted by a send or the initial schedule,
+// not yet in its owner's pending set; chaos-held envelopes stay here) ->
+// Pending <-> Processed -> Free.
+enum class EventStatus : std::uint8_t { Free, InFlight, Pending, Processed };
 
 struct Event;
 
-// Reference to a child event for cancellation. Identity (uid) — not the
-// ordering key — matches anti-messages to positives: after a rollback, a
-// re-executed parent may send a *different* child that legitimately reuses
-// the old child's ordering key (same parent tie, same send index), and the
-// dying lineage coexists with the new one until the cancellation chain
-// catches up. The uid is unique per envelope send, so cancellation never
-// kills the wrong twin. Everything is stored by value so cancellation never
-// dereferences an envelope owned by another PE.
+// Reference to a child event for cancellation: a direct pointer to the
+// child's envelope plus its identity (uid), which the canceller checks
+// against the envelope before acting. Pointer and uid — not the ordering
+// key — pick the victim: after a rollback, a re-executed parent may send a
+// *different* child that legitimately reuses the old child's ordering key
+// (same parent tie, same send index), and the dying lineage coexists with
+// the new one until the cancellation chain catches up.
+//
+// The pointer is safe because a child envelope is freed only by its
+// parent's cancellation, or by fossil collection after the parent has
+// committed (and freed its child list), so a ChildRef never outlives its
+// envelope. Only the PE that currently owns the child dereferences `ev`:
+// local cancellation does so directly; remote cancellation ships the
+// pointer inside an anti token, which the owner acts on after FIFO delivery
+// (the positive is always consumed first).
 struct ChildRef {
-  EventKey key;  // for the GVT inbox minimum and diagnostics
+  // Routes the cancellation (key.dst_lp); an anti token's copy bounds GVT
+  // while it is in flight.
+  EventKey key;
   std::uint64_t uid;
   // Hash of (payload bytes, size): lazy cancellation may only reuse a stale
   // child when both the derived key AND the content match, otherwise
   // determinism would break (same key can carry different payloads after a
   // changed decision upstream).
   std::uint64_t payload_hash;
-  std::uint32_t dst_pe;
+  Event* ev;
 };
 static_assert(std::is_trivially_copyable_v<ChildRef>);
 
@@ -82,18 +95,21 @@ struct EventCold {
 // (util::MpscQueue); mpsc_next is live only while the envelope is in flight
 // between PEs — or threaded on its pool's free list while the envelope is
 // Free (the two states are disjoint, so the link is safely shared).
-// Anti-messages travel as envelopes too (is_anti set, key/uid identify the
-// victim, payload unused) so positives and antis share one FIFO channel and
-// one pool.
+// Anti-messages travel as envelopes too (is_anti set, `victim` points at the
+// positive to annihilate and key/uid identify it, payload unused) so
+// positives and antis share one FIFO channel and one pool.
 struct Event : util::MpscNode {
   EventKey key;
   std::uint64_t uid = 0;  // unique send instance id (anti-message identity)
-  std::uint64_t parent_uid = 0;   // uid of the sending event (0 for roots)
+  // Anti tokens only: the envelope to annihilate (ChildRef::ev of the
+  // cancelled child). Null on positives, and on chaos duplicate antis, which
+  // must resolve as stale without touching the long-dead victim.
+  Event* victim = nullptr;
   std::uint64_t rng_before = 0;   // LP stream position before execution
   Time send_ts = 0.0;
   std::uint32_t kp = 0;  // destination KP, cached at send time
   EventStatus status = EventStatus::Free;
-  bool is_anti = false;  // anti token: uid names the event to annihilate
+  bool is_anti = false;  // anti token: victim/uid name the event to kill
   std::uint16_t payload_size = 0;
   std::uint32_t cv = 0;  // model control bits, reset before each forward
   // Rollback forensics (see obs/forensics.hpp). `cascade` rides on anti
@@ -187,15 +203,15 @@ class EventPool {
   // Scrub the envelope back to a fresh-from-slab state and push it on the
   // free list. Every engine-written field is cleared so a recycled envelope
   // is indistinguishable from a new one — a stale send_wall_ns would
-  // fabricate a forensics flow event, a stale parent_uid/send_ts/cv would
-  // leak one event's causality into an unrelated reuse. Debug builds poison
+  // fabricate a forensics flow event, a stale victim/send_ts/cv would leak
+  // one event's causality into an unrelated reuse. Debug builds poison
   // the payload (fresh slabs poison it too) so reads-before-writes surface.
   void free(Event* ev) noexcept {
     --live_;
     ++free_count_;
     ev->key = EventKey{};
     ev->uid = 0;
-    ev->parent_uid = 0;
+    ev->victim = nullptr;
     ev->rng_before = 0;
     ev->send_ts = 0.0;
     ev->kp = 0;

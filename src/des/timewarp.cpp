@@ -52,6 +52,17 @@ constexpr double kFlowEmaAlpha = 0.25;
 // Fault injection: reorder scratch flushes at this many buffered positives.
 constexpr std::size_t kChaosReorderWindow = 8;
 
+// Pointer-form cancellation checks (ChildRef::ev, Event::victim). A
+// reference is live while its envelope still carries the referenced uid and
+// has not gone back to a free list; it is delivered when the envelope also
+// sits in its owner's pending set or processed deque.
+bool live_ref(const Event* ev, std::uint64_t uid) {
+  return ev != nullptr && ev->uid == uid && ev->status != EventStatus::Free;
+}
+bool delivered_ref(const Event* ev, std::uint64_t uid) {
+  return live_ref(ev, uid) && ev->status != EventStatus::InFlight;
+}
+
 }
 
 using obs::Counter;
@@ -89,11 +100,10 @@ class TimeWarpEngine::TwCtx final : public Context {
     ev->key = EventKey{ts, util::hash_combine(cur_->key.tie, send_seq_),
                        cur_->key.dst_lp, dst_lp, send_seq_};
     ev->uid = (static_cast<std::uint64_t>(pe_.id + 1) << 40) | ++pe_.uid_counter;
-    ev->parent_uid = cur_->uid;
     ++send_seq_;
     ev->send_ts = cur_->key.ts;
     ev->kp = e_.lp_kp_[dst_lp];
-    ev->status = EventStatus::Pending;
+    ev->status = EventStatus::InFlight;
     ev->cv = 0;
     if (HP_UNLIKELY(e_.telemetry_)) ev->create_wall_ns = obs::monotonic_ns();
     return ev;
@@ -136,8 +146,8 @@ class TimeWarpEngine::TwCtx final : public Context {
         }
       }
     }
+    cur_->children.push_back(ChildRef{ev->key, ev->uid, ph, ev});
     const std::uint32_t dst_pe = e_.own_.pe_of_lp(ev->key.dst_lp);
-    cur_->children.push_back(ChildRef{ev->key, ev->uid, ph, dst_pe});
     if (dst_pe == pe_.id) {
       // Local delivery may roll back a sibling KP that ran ahead; see the
       // header notes. Never touches the currently executing KP because the
@@ -153,8 +163,8 @@ class TimeWarpEngine::TwCtx final : public Context {
   PeData& pe_;
 };
 
-// Init context: single-threaded, pre-run; routes root events straight into
-// the owning PE's pending set.
+// Init context: single-threaded, pre-run; delivers root events straight to
+// the owning PE.
 class TwEngineInitCtx final : public InitContext {
  public:
   TwEngineInitCtx(TimeWarpEngine& e, std::uint64_t seed) : e_(e), seed_(seed) {}
@@ -249,18 +259,14 @@ Event* TwEngineInitCtx::prepare_schedule_(std::uint32_t dst_lp, Time ts) {
   ++idx_;
   ev->send_ts = 0.0;
   ev->kp = e_.lp_kp_[dst_lp];
-  ev->status = EventStatus::Pending;
+  ev->status = EventStatus::InFlight;
   ev->cv = 0;
   if (HP_UNLIKELY(e_.telemetry_)) ev->create_wall_ns = obs::monotonic_ns();
   return ev;
 }
 
 void TwEngineInitCtx::commit_schedule_(Event* ev) {
-  TimeWarpEngine::PeData& pe = *e_.pes_[e_.own_.pe_of_lp(ev->key.dst_lp)];
-  pe.pending.insert(ev);
-  auto [it, ok] = pe.index.emplace(ev->uid, ev);
-  HP_ASSERT(ok, "duplicate initial event uid");
-  (void)it;
+  e_.deliver(*e_.pes_[e_.own_.pe_of_lp(ev->key.dst_lp)], ev);
 }
 
 void TimeWarpEngine::seed_initial_events() {
@@ -278,6 +284,12 @@ void TimeWarpEngine::deliver(PeData& pe, Event* ev) {
   HP_ASSERT(!mig_on_ || own_.pe_of_kp(ev->kp) == pe.id,
             "PE %u: delivered event for KP %u owned by PE %u", pe.id, ev->kp,
             own_.pe_of_kp(ev->kp));
+  // Every envelope is delivered exactly once, so anything but InFlight here
+  // is an envelope already sitting in a pending set or processed deque.
+  HP_ASSERT(ev->status == EventStatus::InFlight,
+            "PE %u KP %u LP %u t=%.6f: duplicate event uid %llu delivered",
+            pe.id, ev->kp, ev->key.dst_lp, ev->key.ts,
+            static_cast<unsigned long long>(ev->uid));
   // Inbox dwell: stage_remote stamped send_wall_ns, so a non-zero stamp
   // means the envelope crossed PEs (local sends deliver directly with 0).
   if (HP_UNLIKELY(telemetry_) && ev->send_wall_ns != 0) {
@@ -301,12 +313,6 @@ void TimeWarpEngine::deliver(PeData& pe, Event* ev) {
   }
   ev->status = EventStatus::Pending;
   pe.pending.insert(ev);
-  auto [it, ok] = pe.index.emplace(ev->uid, ev);
-  HP_ASSERT(ok,
-            "PE %u KP %u LP %u t=%.6f: duplicate event uid %llu delivered",
-            pe.id, ev->kp, ev->key.dst_lp, ev->key.ts,
-            static_cast<unsigned long long>(ev->uid));
-  (void)it;
 }
 
 void TimeWarpEngine::stage_remote(PeData& pe, std::uint32_t dst_pe,
@@ -353,14 +359,16 @@ void TimeWarpEngine::flush_outboxes(PeData& pe) {
   pe.out_dirty.clear();
 }
 
-// Remote cancellation: an anti token is an envelope with is_anti set whose
-// (uid, key) name the victim. It rides the same per-destination chain as
-// positives, so per-producer FIFO keeps every positive ahead of its anti.
+// Remote cancellation: an anti token is an envelope with is_anti set that
+// carries the victim's envelope pointer and (uid, key). It rides the same
+// per-destination chain as positives, so per-producer FIFO keeps every
+// positive ahead of its anti; the sender never dereferences the victim.
 void TimeWarpEngine::send_anti(PeData& pe, const ChildRef& c,
                                std::uint32_t dst_pe) {
   Event* anti = pe.pool.allocate();
   anti->is_anti = true;
   anti->uid = c.uid;
+  anti->victim = c.ev;
   anti->key = c.key;
   // Carry the sending episode's cascade chain length so the induced rollback
   // (if any) extends the chain; 0 outside a rollback (lazy stale
@@ -370,20 +378,19 @@ void TimeWarpEngine::send_anti(PeData& pe, const ChildRef& c,
   ++pe.metrics.at(Counter::AntiMessages);
 }
 
-void TimeWarpEngine::annihilate(PeData& pe, std::uint64_t uid,
+void TimeWarpEngine::annihilate(PeData& pe, Event* ev, std::uint64_t uid,
                                 std::uint32_t offender_kp,
                                 std::uint32_t offender_pe,
                                 std::uint64_t send_wall_ns) {
-  auto it = pe.index.find(uid);
-  // FIFO inboxes guarantee a positive always precedes its anti; see header.
-  // (Chaos runs route through chaos_deliver_anti, which pre-checks the index
-  // and the holdback buffer, so this stays a hard invariant even then.)
-  HP_ASSERT(it != pe.index.end(),
+  // FIFO inboxes guarantee a positive is delivered before its anti; see
+  // header. (Chaos runs route through chaos_deliver_anti, which resolves
+  // held positives and stale duplicates first, so this stays a hard
+  // invariant even then.)
+  HP_ASSERT(delivered_ref(ev, uid),
             "PE %u: anti-message uid %llu (offender KP %u PE %u) found no "
             "matching positive",
             pe.id, static_cast<unsigned long long>(uid), offender_kp,
             offender_pe);
-  Event* ev = it->second;
   if (ev->status == EventStatus::Processed) {
     // Secondary rollback: induced by a cancellation, one chain link deeper
     // than the episode that sent it (cascade_ctx holds the inducing depth —
@@ -406,15 +413,13 @@ void TimeWarpEngine::annihilate(PeData& pe, std::uint64_t uid,
             "set",
             pe.id, ev->kp, ev->key.dst_lp, ev->key.ts,
             static_cast<unsigned long long>(ev->uid));
-  pe.index.erase(it);
   pe.pool.free(ev);
 }
 
-// Cancellation routes through the live ownership table, not the ChildRef's
-// send-time dst_pe snapshot: a KP migration between the send and the
-// cancellation re-homes the victim, and the handoff's full quiescence
-// guarantees the positive is settled at the current owner before any
-// post-handoff anti can chase it there.
+// Cancellation routes through the live ownership table: a KP migration
+// between the send and the cancellation re-homes the victim, and the
+// handoff's full quiescence guarantees the positive is settled at the
+// current owner before any post-handoff anti can chase it there.
 void TimeWarpEngine::cancel_stale(PeData& pe, Event* ev) {
   if (!ev->has_stale_children()) return;
   auto& stale = ev->cold_block->stale_children;
@@ -450,21 +455,22 @@ void TimeWarpEngine::cancel_refs(PeData& pe, const ChildRef* refs,
       send_anti(pe, c, dst);
       continue;
     }
-    const auto it = pe.index.find(c.uid);
-    if (HP_UNLIKELY(chaos_) && it == pe.index.end()) {
+    Event* v = c.ev;
+    if (HP_UNLIKELY(chaos_) && live_ref(v, c.uid) &&
+        v->status == EventStatus::InFlight) {
       // Chaos x migration: the victim was delay-parked at a previous owner
       // and migrated here inside the holdback buffer, never delivered.
-      HP_ASSERT(chaos_kill_held(pe, c.uid),
+      HP_ASSERT(chaos_kill_held(pe, v),
                 "PE %u: local cancellation uid %llu found no positive",
                 pe.id, static_cast<unsigned long long>(c.uid));
       continue;
     }
-    // FIFO inboxes guarantee a positive always precedes its anti; locally
-    // the parent's send happened before this cancellation.
-    HP_ASSERT(it != pe.index.end(),
+    // Local sends deliver synchronously, so the parent's send happened (and
+    // was delivered) before this cancellation.
+    HP_ASSERT(delivered_ref(v, c.uid),
               "PE %u: local cancellation uid %llu found no positive", pe.id,
               static_cast<unsigned long long>(c.uid));
-    victims.push_back(it->second);
+    victims.push_back(v);
   }
   if (victims.empty()) return;
 
@@ -506,7 +512,6 @@ void TimeWarpEngine::cancel_refs(PeData& pe, const ChildRef* refs,
               "pending set",
               pe.id, v->kp, v->key.dst_lp, v->key.ts,
               static_cast<unsigned long long>(v->uid));
-    pe.index.erase(v->uid);
     pe.pool.free(v);
   }
 }
@@ -624,6 +629,7 @@ void TimeWarpEngine::drain_inbox(PeData& pe) {
           1, std::memory_order_relaxed);
     }
     if (ev->is_anti) {
+      Event* victim = ev->victim;
       const std::uint64_t uid = ev->uid;
       // The anti's key is the victim child's key, so key.src_lp is the LP of
       // the parent whose rollback sent the cancellation — the offender.
@@ -632,7 +638,8 @@ void TimeWarpEngine::drain_inbox(PeData& pe) {
       const std::uint64_t send_wall_ns = ev->send_wall_ns;
       pe.pool.free(ev);
       pe.cascade_ctx = inducing_cascade;
-      annihilate(pe, uid, lp_kp_[src], own_.pe_of_lp(src), send_wall_ns);
+      annihilate(pe, victim, uid, lp_kp_[src], own_.pe_of_lp(src),
+                 send_wall_ns);
       pe.cascade_ctx = 0;
     } else {
       deliver(pe, ev);
@@ -666,7 +673,10 @@ void TimeWarpEngine::drain_inbox_chaos(PeData& pe) {
       chaos_flush_run(pe);
       if (HP_UNLIKELY(chaos_hit(f.dup_anti_prob, ev->uid))) {
         // Park a copy one round; the duplicate must annihilate nothing when
-        // it lands (its positive dies to the original right below).
+        // it lands (its positive dies to the original right below). It
+        // carries no victim pointer: by then the victim's envelope may have
+        // been recycled and even handed to another PE, so the copy must
+        // resolve as stale without reading it.
         Event* dup = pe.pool.allocate();
         dup->key = ev->key;
         dup->uid = ev->uid;
@@ -721,30 +731,38 @@ void TimeWarpEngine::chaos_flush_run(PeData& pe) {
 }
 
 void TimeWarpEngine::chaos_deliver_anti(PeData& pe, Event* anti) {
+  Event* victim = anti->victim;
   const std::uint64_t uid = anti->uid;
   const std::uint32_t src = anti->key.src_lp;
   const std::uint32_t inducing_cascade = anti->cascade;
   const std::uint64_t send_wall_ns = anti->send_wall_ns;
   pe.pool.free(anti);
-  if (pe.index.find(uid) != pe.index.end()) {
-    pe.cascade_ctx = inducing_cascade;
-    annihilate(pe, uid, lp_kp_[src], own_.pe_of_lp(src), send_wall_ns);
-    pe.cascade_ctx = 0;
+  if (victim == nullptr) {
+    // A dup-anti duplicate arriving after the original did the kill. Legal
+    // only under chaos — the fault-free path still hard-asserts inside
+    // annihilate().
+    ++pe.metrics.at(Counter::ChaosStaleAntis);
     return;
   }
-  // The positive may be parked by a delay/straggler fault: annihilate the
-  // pair inside the holdback buffer, before the positive was ever delivered.
-  if (chaos_kill_held(pe, uid)) return;
-  // No positive anywhere: a dup-anti duplicate arriving after the original
-  // did the kill. Legal only under chaos — the fault-free path still
-  // hard-asserts inside annihilate().
-  ++pe.metrics.at(Counter::ChaosStaleAntis);
+  // The positive may be parked by a delay/straggler fault (still InFlight):
+  // annihilate the pair inside the holdback buffer, before the positive was
+  // ever delivered.
+  if (live_ref(victim, uid) && victim->status == EventStatus::InFlight) {
+    HP_ASSERT(chaos_kill_held(pe, victim),
+              "PE %u: anti-message uid %llu found its positive undelivered "
+              "but not held",
+              pe.id, static_cast<unsigned long long>(uid));
+    return;
+  }
+  pe.cascade_ctx = inducing_cascade;
+  annihilate(pe, victim, uid, lp_kp_[src], own_.pe_of_lp(src), send_wall_ns);
+  pe.cascade_ctx = 0;
 }
 
-bool TimeWarpEngine::chaos_kill_held(PeData& pe, std::uint64_t uid) {
+bool TimeWarpEngine::chaos_kill_held(PeData& pe, Event* victim) {
   for (std::size_t i = 0; i < pe.chaos_held.size(); ++i) {
     Event* held = pe.chaos_held[i].ev;
-    if (!held->is_anti && held->uid == uid) {
+    if (held == victim) {
       pe.pool.free(held);
       pe.chaos_held.erase(pe.chaos_held.begin() +
                           static_cast<std::ptrdiff_t>(i));
@@ -1001,7 +1019,6 @@ void TimeWarpEngine::fossil_collect(PeData& pe, Time gvt) {
                                      now - ev->exec_wall_ns);
         }
       }
-      pe.index.erase(ev->uid);
       pe.pool.free(ev);
       ++pe.metrics.at(Counter::Committed);
     }
@@ -1564,18 +1581,21 @@ void TimeWarpEngine::checkpoint_round(PeData& pe, Time gvt) {
     if (cfg_.cancellation == EngineConfig::Cancellation::Lazy) {
       // Stale children are speculative sends of rolled-back executions kept
       // alive for reuse; they are not part of the state at the fence, so
-      // kill them for real. Collect uids first: a cancellation can free
-      // other events on this PE (nested stale chains), so re-look each one
-      // up and skip the ones that died along the way.
-      std::vector<std::uint64_t> stale_owners;
-      for (const auto& [uid, ev] : pe.index) {
-        if (ev->status == EventStatus::Pending && ev->has_stale_children()) {
-          stale_owners.push_back(uid);
-        }
+      // kill them for real. After the fence every live event on this PE is
+      // pending, so cycling the pending set finds every stale owner. A
+      // cancellation can free other owners on this PE (nested stale
+      // chains), so each is re-checked by uid before use: a freed slot is
+      // scrubbed, and the sweep allocates nothing but anti tokens (status
+      // Free), which stay staged on this PE until the flush below.
+      std::vector<Event*> all;
+      while (Event* p = pe.pending.pop_min()) all.push_back(p);
+      std::vector<std::pair<Event*, std::uint64_t>> stale_owners;
+      for (Event* p : all) {
+        pe.pending.insert(p);
+        if (p->has_stale_children()) stale_owners.emplace_back(p, p->uid);
       }
-      for (std::uint64_t uid : stale_owners) {
-        auto it = pe.index.find(uid);
-        if (it != pe.index.end()) cancel_stale(pe, it->second);
+      for (const auto& [owner, uid] : stale_owners) {
+        if (delivered_ref(owner, uid)) cancel_stale(pe, owner);
       }
     }
     drain_inbox(pe);
@@ -1736,13 +1756,14 @@ void TimeWarpEngine::emit_monitor_record(std::uint64_t round_idx, Time gvt) {
 //      envelope is in flight — every positive is settled at its KP's
 //      current owner, which is what makes the live-table re-routing of
 //      later anti-messages sound.
-//   3. Extract / integrate. The source pulls the moved KP's uid index
-//      entries, pending events and chaos-held envelopes into a per-KP
-//      staging area; after a barrier the destination adopts them, flips the
-//      ownership entry (distinct KPs, disjoint writes) and the exit barrier
-//      publishes the new table before anybody routes again. The KP's
-//      processed deque and its LP states/RNG streams are globally indexed
-//      and transfer by the ownership flip alone.
+//   3. Extract / integrate. The source pulls the moved KP's pending events
+//      and chaos-held envelopes into a per-KP staging area; after a barrier
+//      the destination adopts them, flips the ownership entry (distinct KPs,
+//      disjoint writes) and the exit barrier publishes the new table before
+//      anybody routes again. The KP's processed deque and its LP states/RNG
+//      streams are globally indexed and transfer by the ownership flip
+//      alone. ChildRefs into the moved envelopes stay valid: envelopes move
+//      by pointer, and only the new owner dereferences them afterwards.
 //
 // Committed results are bit-identical with migration on or off at any
 // cadence: the event ordering key is model-derived and placement-
@@ -1799,31 +1820,33 @@ void TimeWarpEngine::do_migration_round(PeData& pe, Time gvt) {
     if (!mig_again_.load(std::memory_order_relaxed)) break;
   }
 
-  // Extract. Pending events leave the pending queue; processed events stay
-  // on the KP's global deque but their uid index entries travel; chaos-held
-  // envelopes bound for the KP travel with their release round (the round
-  // counter is barrier-global, so it means the same thing at the
-  // destination). The live-envelope accounting moves with the events so the
-  // flow-control watermarks keep tracking each PE's own outstanding work.
+  // Extract. Pending events of the moving KPs leave the pending queue (one
+  // pass that pops everything and re-inserts the stayers); processed events
+  // stay on the KP's global deque; chaos-held envelopes bound for the KP
+  // travel with their release round (the round counter is barrier-global,
+  // so it means the same thing at the destination). The live-envelope
+  // accounting moves with the events — processed ones included, since the
+  // new owner frees them at fossil time — so the flow-control watermarks
+  // keep tracking each PE's own outstanding work.
+  std::vector<std::uint32_t> out_kps;
   for (const KpMove& mv : plan) {
-    if (mv.src_pe != pe.id) continue;
-    std::vector<Event*>& stage = mig_stage_[mv.kp];
-    for (auto it = pe.index.begin(); it != pe.index.end();) {
-      Event* ev = it->second;
-      if (ev->kp == mv.kp) {
-        if (ev->status == EventStatus::Pending) {
-          HP_ASSERT(pe.pending.erase(ev),
-                    "PE %u: migrating pending event uid %llu missing from "
-                    "pending set",
-                    pe.id, static_cast<unsigned long long>(ev->uid));
-        }
-        stage.push_back(ev);
-        it = pe.index.erase(it);
+    if (mv.src_pe == pe.id) out_kps.push_back(mv.kp);
+  }
+  if (!out_kps.empty()) {
+    std::vector<Event*> stay;
+    while (Event* ev = pe.pending.pop_min()) {
+      if (std::find(out_kps.begin(), out_kps.end(), ev->kp) != out_kps.end()) {
+        mig_stage_[ev->kp].push_back(ev);
       } else {
-        ++it;
+        stay.push_back(ev);
       }
     }
-    std::uint64_t moved_here = stage.size();
+    for (Event* ev : stay) pe.pending.insert(ev);
+  }
+  for (const KpMove& mv : plan) {
+    if (mv.src_pe != pe.id) continue;
+    std::uint64_t moved_here =
+        mig_stage_[mv.kp].size() + kps_[mv.kp].processed.size();
     if (HP_UNLIKELY(chaos_) && !pe.chaos_held.empty()) {
       auto& held = pe.chaos_held;
       std::size_t w = 0;
@@ -1852,14 +1875,9 @@ void TimeWarpEngine::do_migration_round(PeData& pe, Time gvt) {
   for (const KpMove& mv : plan) {
     if (mv.dst_pe != pe.id) continue;
     std::vector<Event*>& stage = mig_stage_[mv.kp];
-    std::int64_t adopted = static_cast<std::int64_t>(stage.size());
-    for (Event* ev : stage) {
-      if (ev->status == EventStatus::Pending) pe.pending.insert(ev);
-      auto [it, ok] = pe.index.emplace(ev->uid, ev);
-      HP_ASSERT(ok, "PE %u: migrated event uid %llu collides in index", pe.id,
-                static_cast<unsigned long long>(ev->uid));
-      (void)it;
-    }
+    std::int64_t adopted = static_cast<std::int64_t>(
+        stage.size() + kps_[mv.kp].processed.size());
+    for (Event* ev : stage) pe.pending.insert(ev);
     stage.clear();
     std::vector<PeData::HeldEnvelope>& held = mig_stage_held_[mv.kp];
     adopted += static_cast<std::int64_t>(held.size());
@@ -1988,18 +2006,14 @@ RunStats TimeWarpEngine::run() {
       ev->uid = ++restore_uid;  // init space: disjoint from PE-minted uids
       ev->send_ts = rec.send_ts;
       ev->kp = lp_kp_[rec.key.dst_lp];
-      ev->status = EventStatus::Pending;
+      ev->status = EventStatus::InFlight;
       ev->cv = 0;
       ev->payload_size = static_cast<std::uint16_t>(rec.payload.size());
       if (!rec.payload.empty()) {
         std::memcpy(ev->payload, rec.payload.data(), rec.payload.size());
       }
       if (HP_UNLIKELY(telemetry_)) ev->create_wall_ns = obs::monotonic_ns();
-      dst.pending.insert(ev);
-      auto [it, ok] = dst.index.emplace(ev->uid, ev);
-      HP_ASSERT(ok, "duplicate restored event uid %llu",
-                static_cast<unsigned long long>(ev->uid));
-      (void)it;
+      deliver(dst, ev);
     }
     ck_base_committed_ = restore_image.committed;
   } else {
@@ -2111,6 +2125,24 @@ RunStats TimeWarpEngine::run() {
   }
   const auto t1 = std::chrono::steady_clock::now();
   if (watchdog) watchdog->stop();
+
+  // Envelope conservation. Nothing indexes the live envelopes, so a leak
+  // would otherwise be silent: after every PE's final fossil collection and
+  // the release of the chaos holdback, the pools' net live count must equal
+  // exactly the envelopes the engine still holds — pending events beyond
+  // end_time and whatever is left in the inboxes (positives and antis).
+  std::int64_t pool_live = 0;
+  std::int64_t still_held = 0;
+  for (const auto& pe : pes_) {
+    pool_live += pe->pool.live();
+    still_held += static_cast<std::int64_t>(pe->pending.size());
+    pe->inbox.unsafe_for_each([&still_held](const Event&) { ++still_held; });
+  }
+  HP_ASSERT(pool_live == still_held,
+            "envelope leak: %lld live in the pools, %lld pending or in "
+            "inboxes",
+            static_cast<long long>(pool_live),
+            static_cast<long long>(still_held));
 
   RunStats stats;
   obs::MetricsReport& m = stats.metrics;

@@ -6,7 +6,6 @@
 // Threading model: one PE per std::jthread over shared memory. Each PE owns
 //   * a pending event set ordered by the deterministic EventKey,
 //   * the processed-event deques of its KPs (rollback granularity),
-//   * an index from EventKey to live envelope (for anti-message matching),
 //   * a lock-free MPSC inbox (util::MpscQueue) other PEs push positive
 //     events / anti tokens to — both travel as Event envelopes, antis with
 //     is_anti set, so one FIFO channel preserves positive-before-anti order,
@@ -18,6 +17,12 @@
 //   * an event pool.
 // LP states and RNG streams are globally indexed but only ever touched by
 // the owning PE during the run.
+//
+// Cancellation needs no lookup structure: a parent's ChildRef holds its
+// child's envelope pointer, and an anti token carries that pointer to the
+// child's owner (see ChildRef in des/event.hpp for why it cannot dangle).
+// Only the owning PE dereferences it, after FIFO delivery, and checks the
+// envelope's uid and status before acting.
 //
 // Rollback is KP-granular: a straggler or anti-message whose key precedes
 // the KP's last processed key pops events in reverse order, cancelling their
@@ -45,7 +50,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "des/engine.hpp"
@@ -101,8 +105,6 @@ class TimeWarpEngine final : public Engine {
     std::uint32_t id = 0;
     std::vector<std::uint32_t> kps;
     PendingSet pending;
-    // uid -> live envelope (pending or processed) for anti-message matching.
-    std::unordered_map<std::uint64_t, Event*> index;
     util::MpscQueue<Event> inbox;
     EventPool pool;
     std::uint64_t uid_counter = 0;
@@ -259,8 +261,8 @@ class TimeWarpEngine final : public Engine {
   // the holdback buffer, or counts a stale drop (dup-anti duplicates).
   void chaos_deliver_anti(PeData& pe, Event* anti);
   // Kill a positive parked in the local holdback buffer before it was ever
-  // delivered; returns false when no such envelope is held.
-  bool chaos_kill_held(PeData& pe, std::uint64_t uid);
+  // delivered; returns false when `victim` is not held here.
+  bool chaos_kill_held(PeData& pe, Event* victim);
   // Deliver the reorder scratch buffer (possibly reversed) and clear it.
   void chaos_flush_run(PeData& pe);
   // Release held envelopes whose round has come (and all of them when the
@@ -279,16 +281,18 @@ class TimeWarpEngine final : public Engine {
   // flush_outboxes publishes every staged chain, one push per destination.
   void stage_remote(PeData& pe, std::uint32_t dst_pe, Event* ev);
   void flush_outboxes(PeData& pe);
-  // `dst_pe` is the victim's *current* owner (looked up in own_ by the
-  // caller, never the ChildRef's send-time snapshot — KP migration can move
-  // the victim between the send and the cancellation).
+  // `dst_pe` is the victim's *current* owner, looked up in own_ by the
+  // caller (KP migration can move the victim between the send and the
+  // cancellation).
   void send_anti(PeData& pe, const ChildRef& c, std::uint32_t dst_pe);
-  // `offender_kp`/`offender_pe` attribute any rollback the annihilation
-  // induces (the canceller's KP for remote antis, the dying parent's KP for
-  // synchronous local cancellation); `send_wall_ns` is the anti's send stamp
-  // (0 when local or stamps are off).
-  void annihilate(PeData& pe, std::uint64_t uid, std::uint32_t offender_kp,
-                  std::uint32_t offender_pe, std::uint64_t send_wall_ns);
+  // Kill the delivered positive `ev` named by a remote anti token (`uid` is
+  // the token's copy, checked against the envelope). `offender_kp`/
+  // `offender_pe` attribute any rollback the annihilation induces (the
+  // canceller's KP); `send_wall_ns` is the anti's send stamp (0 when stamps
+  // are off).
+  void annihilate(PeData& pe, Event* ev, std::uint64_t uid,
+                  std::uint32_t offender_kp, std::uint32_t offender_pe,
+                  std::uint64_t send_wall_ns);
   void rollback(PeData& pe, std::uint32_t kp, const EventKey& key,
                 const obs::RollbackCause& cause);
   void cancel_children(PeData& pe, Event* ev);

@@ -523,5 +523,74 @@ TEST(CheckpointRestore, ChaoticImageRestoresUnderChaos) {
   std::filesystem::remove_all(dir);
 }
 
+// ------------------------------------------------- envelope conservation
+//
+// Nothing indexes the live envelopes, so TimeWarpEngine::run() asserts at
+// the end of every run that the pools' net live count equals the envelopes
+// still pending or left in inboxes; a leaked (or doubly freed) envelope
+// aborts the run. Drive that check through every path that moves or frees
+// envelopes outside plain execution: both cancellation modes, the chaos
+// holdback (delay, straggler, reorder, duplicate antis), KP migration at the
+// most hostile cadence, and a checkpointing run plus its restored
+// continuation — each of which must also stay bit-identical.
+
+struct ConservationCase {
+  const char* name;
+  bool lazy;
+  bool chaos;
+  bool migrate;
+};
+
+class EnvelopeConservation
+    : public ::testing::TestWithParam<ConservationCase> {};
+
+TEST_P(EnvelopeConservation, CheckpointRestoreRunsStayBitIdentical) {
+  const ConservationCase& c = GetParam();
+  EngineConfig ec = parallel_config();
+  std::string err;
+  if (c.lazy) ec.cancellation = EngineConfig::Cancellation::Lazy;
+  if (c.chaos) {
+    ASSERT_TRUE(FaultPlan::parse(
+        "delay:p=0.2,k=2;reorder:p=0.4;straggler:p=0.3;dup-anti:p=0.3;"
+        "seed=13",
+        ec.fault, err))
+        << err;
+  }
+  if (c.migrate) {
+    ASSERT_TRUE(MigrationConfig::parse("forced,every=1,max=2", ec.migration,
+                                       err))
+        << err;
+  }
+  PholdModel ms(phold_config());
+  std::unique_ptr<Engine> seq = make_engine(EngineKind::Sequential, ms, ec);
+  seq->run();
+  PholdModel mt(phold_config());
+  std::unique_ptr<Engine> tw = make_engine(EngineKind::TimeWarp, mt, ec);
+  const RunStats stats = tw->run();
+  EXPECT_EQ(PholdModel::digest(*seq), PholdModel::digest(*tw));
+  if (c.lazy) EXPECT_GT(stats.metrics.total.at(Counter::LazyReused), 0u);
+  if (c.chaos) {
+    EXPECT_GT(stats.metrics.total.at(Counter::ChaosDupAntis), 0u);
+  }
+  if (c.migrate) EXPECT_GT(stats.metrics.total.at(Counter::Migrations), 0u);
+  expect_restore_identity(EngineKind::TimeWarp, EngineKind::TimeWarp, ec,
+                          4000, std::string("conserve_") + c.name);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CancelChaosMigration, EnvelopeConservation,
+    ::testing::Values(ConservationCase{"aggressive", false, false, false},
+                      ConservationCase{"lazy", true, false, false},
+                      ConservationCase{"aggressive_chaos", false, true, false},
+                      ConservationCase{"lazy_chaos", true, true, false},
+                      ConservationCase{"aggressive_mig", false, false, true},
+                      ConservationCase{"lazy_mig", true, false, true},
+                      ConservationCase{"aggressive_chaos_mig", false, true,
+                                       true},
+                      ConservationCase{"lazy_chaos_mig", true, true, true}),
+    [](const ::testing::TestParamInfo<ConservationCase>& info) {
+      return std::string(info.param.name);
+    });
+
 }  // namespace
 }  // namespace hp::des

@@ -77,7 +77,7 @@ TEST(Event, PayloadRoundTrip) {
 TEST(EventPool, RecyclesEnvelopes) {
   EventPool pool;
   Event* a = pool.allocate();
-  a->children.push_back(ChildRef{EventKey{}, 0, 0, 0});
+  a->children.push_back(ChildRef{EventKey{}, 0, 0, nullptr});
   // Storage is slab-granular: the first allocation commits a whole slab.
   EXPECT_EQ(pool.slabs_allocated(), 1u);
   EXPECT_EQ(pool.allocated(), kSlabEnvelopes);

@@ -1,10 +1,10 @@
 // Slab allocator unit tests (run under ASan in CI — the slab pool must be
 // clean under it) plus the envelope-scrubbing regression: a recycled
 // envelope must be indistinguishable from a fresh-from-slab one. Historical
-// bug: EventPool::free left parent_uid / send_ts / cv / payload_size /
-// rng_before behind, so a recycled envelope could leak one event's causality
-// into an unrelated reuse (a stale parent_uid fabricates a forensics edge, a
-// stale cv corrupts lazy-cancellation re-evaluation).
+// bug: EventPool::free left send_ts / cv / payload_size / rng_before behind,
+// so a recycled envelope could leak one event's causality into an unrelated
+// reuse (a stale cv corrupts lazy-cancellation re-evaluation; a stale anti
+// victim pointer would aim a later token at an unrelated envelope).
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,7 @@ namespace {
 void expect_fresh(const Event& ev, const char* what) {
   EXPECT_EQ(ev.key, EventKey{}) << what;
   EXPECT_EQ(ev.uid, 0u) << what;
-  EXPECT_EQ(ev.parent_uid, 0u) << what;
+  EXPECT_EQ(ev.victim, nullptr) << what;
   EXPECT_EQ(ev.rng_before, 0u) << what;
   EXPECT_EQ(ev.send_ts, 0.0) << what;
   EXPECT_EQ(ev.kp, 0u) << what;
@@ -40,7 +40,7 @@ void expect_fresh(const Event& ev, const char* what) {
 void dirty(Event* ev) {
   ev->key = EventKey{123.0, 456, 7, 8, 9};
   ev->uid = 0xDEADBEEF;
-  ev->parent_uid = 0xFEEDFACE;
+  ev->victim = ev;
   ev->rng_before = 77;
   ev->send_ts = 99.5;
   ev->kp = 3;
@@ -51,8 +51,17 @@ void dirty(Event* ev) {
   ev->cascade = 2;
   ev->send_wall_ns = 123456789;
   std::memset(ev->payload, 0x5C, kMaxPayload);
-  ev->children.push_back(ChildRef{EventKey{1.0, 2, 3, 4, 5}, 6, 7, 8});
-  ev->cold().stale_children.push_back(ChildRef{EventKey{}, 1, 2, 3});
+  ev->children.push_back(ChildRef{EventKey{1.0, 2, 3, 4, 5}, 6, 7, ev});
+  ev->cold().stale_children.push_back(ChildRef{EventKey{}, 1, 2, ev});
+}
+
+// Cancellation by direct envelope pointer (ChildRef::ev, Event::victim)
+// took the place of two dead fields instead of growing the envelope, which
+// the sequential kernel shares and pays for in cache footprint. Bounds are
+// the LP64 GCC/libstdc++ layout.
+TEST(EventLayout, CancellationPointersDoNotGrowTheEnvelope) {
+  EXPECT_LE(sizeof(ChildRef), 56u);
+  EXPECT_LE(sizeof(Event), 472u);
 }
 
 TEST(EventPoolSlab, FirstAllocationCommitsOneSlab) {
@@ -202,7 +211,7 @@ TEST(EventPoolSlab, ColdBlockIsLazyAndFreedOnRecycle) {
   Event* ev = pool.allocate();
   EXPECT_EQ(ev->cold_block, nullptr) << "cold state must be lazy";
   EXPECT_FALSE(ev->has_stale_children());
-  ev->cold().stale_children.push_back(ChildRef{EventKey{}, 1, 2, 3});
+  ev->cold().stale_children.push_back(ChildRef{EventKey{}, 1, 2, ev});
   EXPECT_TRUE(ev->has_stale_children());
   ASSERT_NE(ev->cold_block, nullptr);
   EXPECT_EQ(&ev->cold(), ev->cold_block.get())

@@ -8,6 +8,7 @@
 
 #include "bench/common.hpp"
 
+#include <string>
 #include <vector>
 
 int main(int argc, char** argv) {
@@ -27,11 +28,18 @@ int main(int argc, char** argv) {
                             : hp::des::EngineConfig::Cancellation::Aggressive;
       const auto r = hp::core::run_hotpotato(o);
       if (!lazy) ref = r;
-      table.add_row({static_cast<std::int64_t>(n),
-                     lazy ? "lazy" : "aggressive (ROSS)",
+      const char* mode = lazy ? "lazy" : "aggressive (ROSS)";
+      if (!hp::bench::same_workload(
+              "ablation_cancellation",
+              "N=" + std::to_string(n) + " " + mode + " row",
+              r.engine.committed_events(), ref.engine.committed_events(),
+              r.report == ref.report)) {
+        return 1;
+      }
+      table.add_row({static_cast<std::int64_t>(n), mode,
                      r.engine.event_rate(), r.engine.rolled_back_events(),
                      r.engine.anti_messages(), r.engine.lazy_reused(),
-                     lazy ? (r.report == ref.report ? "yes" : "NO") : "-"});
+                     lazy ? "yes" : "-"});
     }
   }
   hp::bench::finish(table, cli,

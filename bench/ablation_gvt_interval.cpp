@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
                          "pool_envelopes", "identical"});
   hp::core::SimulationResult ref;
   bool have_ref = false;
+  // Returns false when the row ran a different workload than the first.
   auto run_row = [&](bool adaptive, std::uint32_t interval) {
     auto o = hp::bench::tw_options(n, 0.5, 2, 64);
     o.engine.gvt_interval_events = interval;
@@ -29,19 +30,28 @@ int main(int argc, char** argv) {
       ref = r;
       have_ref = true;
     }
-    table.add_row({adaptive ? "adaptive" : "fixed",
-                   static_cast<std::int64_t>(interval), r.engine.event_rate(),
-                   r.engine.gvt_rounds(), r.engine.gvt_progress_triggers(),
+    const char* mode = adaptive ? "adaptive" : "fixed";
+    if (!hp::bench::same_workload(
+            "ablation_gvt_interval",
+            std::string(mode) + " interval=" + std::to_string(interval) +
+                " row",
+            r.engine.committed_events(), ref.engine.committed_events(),
+            r.report == ref.report)) {
+      return false;
+    }
+    table.add_row({mode, static_cast<std::int64_t>(interval),
+                   r.engine.event_rate(), r.engine.gvt_rounds(),
+                   r.engine.gvt_progress_triggers(),
                    r.engine.gvt_idle_triggers(), r.engine.rolled_back_events(),
-                   r.engine.pool_envelopes(),
-                   r.report == ref.report ? "yes" : "NO"});
+                   r.engine.pool_envelopes(), "yes"});
+    return true;
   };
   for (const std::uint32_t interval : {64u, 256u, 1024u, 4096u, 16384u}) {
-    run_row(false, interval);
+    if (!run_row(false, interval)) return 1;
   }
   // Adaptive pacing: the interval is the ceiling the PEs float beneath.
   for (const std::uint32_t ceiling : {1024u, 16384u}) {
-    run_row(true, ceiling);
+    if (!run_row(true, ceiling)) return 1;
   }
   hp::bench::finish(table, cli,
                     "Ablation: GVT pacing (fixed interval sweep vs adaptive "

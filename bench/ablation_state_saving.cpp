@@ -6,6 +6,7 @@
 
 #include "bench/common.hpp"
 
+#include <string>
 #include <vector>
 
 int main(int argc, char** argv) {
@@ -24,11 +25,18 @@ int main(int argc, char** argv) {
       o.engine.state_saving = state_saving;
       const auto r = hp::core::run_hotpotato(o);
       if (!state_saving) ref = r;
-      table.add_row({static_cast<std::int64_t>(n),
-                     state_saving ? "state saving" : "reverse computation",
+      const char* mechanism =
+          state_saving ? "state saving" : "reverse computation";
+      if (!hp::bench::same_workload(
+              "ablation_state_saving",
+              "N=" + std::to_string(n) + " " + mechanism + " row",
+              r.engine.committed_events(), ref.engine.committed_events(),
+              r.report == ref.report)) {
+        return 1;
+      }
+      table.add_row({static_cast<std::int64_t>(n), mechanism,
                      r.engine.event_rate(), r.engine.rolled_back_events(),
-                     state_saving ? (r.report == ref.report ? "yes" : "NO")
-                                  : "-"});
+                     state_saving ? "yes" : "-"});
     }
   }
   hp::bench::finish(table, cli,

@@ -71,6 +71,24 @@ inline core::SimulationOptions tw_options(std::int32_t n, double load,
   return o;
 }
 
+// Same-workload gate for harnesses that compare rows. A row whose committed
+// event count differs from its reference row's, or whose model results are
+// not identical to them, ran a different workload, and a rate or ratio
+// between the two measures nothing. Prints what differs to stderr and
+// returns false; the harness then exits 1 (fail, don't warn).
+inline bool same_workload(const char* bench, const std::string& row,
+                          std::uint64_t committed, std::uint64_t ref_committed,
+                          bool identical_results = true) {
+  if (committed == ref_committed && identical_results) return true;
+  std::fprintf(stderr,
+               "%s: %s ran a different workload than its reference row: "
+               "committed %llu vs %llu events%s\n",
+               bench, row.c_str(), static_cast<unsigned long long>(committed),
+               static_cast<unsigned long long>(ref_committed),
+               identical_results ? "" : ", model results differ");
+  return false;
+}
+
 // Applies the shared --monitor[=interval] / --monitor-out=path flags to an
 // engine config. Bare --monitor means every GVT round; --monitor=N emits one
 // heartbeat per N rounds; without --monitor-out the stream goes to stderr.

@@ -46,9 +46,15 @@ int main(int argc, char** argv) {
     hp::des::PholdModel m1(pc);
     hp::des::ConservativeEngine cons(m1, cc, lookahead);
     const auto c = cons.run();
+    const std::string row = "phold lookahead=" + std::to_string(lookahead);
+    if (!hp::bench::same_workload(
+            "conservative_vs_optimistic", row + " conservative-2pe row",
+            c.committed_events(), s.committed_events(),
+            hp::des::PholdModel::digest(cons) == sdigest)) {
+      return 1;
+    }
     table.add_row({"phold", lookahead, "conservative-2pe", c.event_rate(),
-                   c.gvt_rounds(), std::uint64_t{0},
-                   hp::des::PholdModel::digest(cons) == sdigest ? "yes" : "NO"});
+                   c.gvt_rounds(), std::uint64_t{0}, "yes"});
 
     auto tc = ec;
     tc.num_pes = 2;
@@ -58,9 +64,14 @@ int main(int argc, char** argv) {
     hp::des::PholdModel m2(pc);
     hp::des::TimeWarpEngine tw(m2, tc);
     const auto t = tw.run();
+    if (!hp::bench::same_workload(
+            "conservative_vs_optimistic", row + " timewarp-2pe row",
+            t.committed_events(), s.committed_events(),
+            hp::des::PholdModel::digest(tw) == sdigest)) {
+      return 1;
+    }
     table.add_row({"phold", lookahead, "timewarp-2pe", t.event_rate(),
-                   t.gvt_rounds(), t.rolled_back_events(),
-                   hp::des::PholdModel::digest(tw) == sdigest ? "yes" : "NO"});
+                   t.gvt_rounds(), t.rolled_back_events(), "yes"});
   }
 
   // Hot-potato: fixed lookahead from the synchronous step structure.
@@ -82,11 +93,16 @@ int main(int argc, char** argv) {
       p.engine.num_kps = 64;
       p.engine.optimism_window = 30.0;
       const auto r = hp::core::run_hotpotato(p);
-      table.add_row({"hotpotato", hp::hotpotato::kCrossLpLookahead,
-                     std::string(hp::core::kernel_name(k)) + "-2pe",
+      const std::string kernel = std::string(hp::core::kernel_name(k)) + "-2pe";
+      if (!hp::bench::same_workload(
+              "conservative_vs_optimistic", "hotpotato " + kernel + " row",
+              r.engine.committed_events(), seq.engine.committed_events(),
+              r.report == seq.report)) {
+        return 1;
+      }
+      table.add_row({"hotpotato", hp::hotpotato::kCrossLpLookahead, kernel,
                      r.engine.event_rate(), r.engine.gvt_rounds(),
-                     r.engine.rolled_back_events(),
-                     r.report == seq.report ? "yes" : "NO"});
+                     r.engine.rolled_back_events(), "yes"});
     }
   }
 

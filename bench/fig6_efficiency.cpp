@@ -1,6 +1,11 @@
 // Figure 6 — "Efficiency (Speed-Up / #PE)": the Fig. 5 sweep normalized by
 // PE count. The report shows near-linear efficiency (~1) for small networks
 // dropping to ~0.5 for the largest.
+//
+// As in fig5_speedup, every row of one N runs the same workload
+// (steps_for(n) steps; the 1-PE row on the sequential kernel): a row whose
+// committed-event count differs from the sequential row's makes its
+// speed-up meaningless, so the harness exits non-zero instead.
 
 #include <string>
 #include <thread>
@@ -19,19 +24,24 @@ int main(int argc, char** argv) {
 
   hp::util::Table table({"N", "PEs", "speedup", "efficiency"});
   for (const std::int32_t n : sizes) {
-    hp::core::SimulationOptions base;
-    base.model.n = n;
-    base.model.injector_fraction = 0.5;
-    base.model.steps = static_cast<std::uint32_t>(2 * n);
-    const double seq_rate = hp::core::run_hotpotato(base).engine.event_rate();
+    auto base = hp::bench::tw_options(n, 0.5, 1, 64);
+    base.kernel = hp::core::Kernel::Sequential;
+    const hp::des::RunStats seq = hp::core::run_hotpotato(base).engine;
+    const double seq_rate = seq.event_rate();
     for (const std::uint32_t pes : scale.pe_counts) {
-      double rate;
-      if (pes == 1) {
-        rate = seq_rate;
-      } else {
+      double rate = seq_rate;
+      if (pes != 1) {
         auto o = hp::bench::tw_options(n, 0.5, pes, 64);
         hp::bench::apply_monitor_flags(cli, o.engine);
-        rate = hp::core::run_hotpotato(o).engine.event_rate();
+        const hp::des::RunStats tw = hp::core::run_hotpotato(o).engine;
+        if (!hp::bench::same_workload("fig6_efficiency",
+                                      "N=" + std::to_string(n) + " " +
+                                          std::to_string(pes) + "-PE row",
+                                      tw.committed_events(),
+                                      seq.committed_events())) {
+          return 1;
+        }
+        rate = tw.event_rate();
       }
       const double speedup = rate / seq_rate;
       table.add_row({static_cast<std::int64_t>(n),

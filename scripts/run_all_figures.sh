@@ -26,7 +26,6 @@ BENCHES=(
   flow_control_contrast
   ablation_state_saving
   ablation_mapping
-  ablation_event_queue
   ablation_cancellation
   ablation_gvt_interval
   priority_census

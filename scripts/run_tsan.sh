@@ -20,9 +20,9 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 # quiescence/handoff barriers and the shared OwnershipTable writes must be
 # race-free under every chaos plan.
 ./build-tsan/tests/test_migration
-# Slab pool recycling and the pending-set backends run single-threaded per
-# PE, but migration adoption moves envelopes across pools — keep their unit
-# suites in the gate so the adjust_live accounting stays clean too.
+# Slab pool recycling and the ladder-queue pending set run single-threaded
+# per PE, but migration adoption moves envelopes across pools — keep their
+# unit suites in the gate so the adjust_live accounting stays clean too.
 ./build-tsan/tests/test_event_pool
 ./build-tsan/tests/test_pending_set
 # Latency telemetry runs a background collector thread draining per-PE SPSC

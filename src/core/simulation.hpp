@@ -31,7 +31,7 @@ struct SimulationOptions {
 
   // Kernel configuration, embedded verbatim (seed, num_pes, num_kps,
   // gvt_interval_events, adaptive_gvt, state_saving, optimism_window,
-  // queue_kind, cancellation, obs...). run_hotpotato fills the model-derived
+  // cancellation, obs...). run_hotpotato fills the model-derived
   // fields (num_lps, end_time, mapping) itself; num_kps == 0 selects the
   // report default of 64 KPs. Anything set here reaches the engine without
   // a renamed mirror field in between — including the latency-telemetry

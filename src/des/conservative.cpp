@@ -146,7 +146,6 @@ ConservativeEngine::ConservativeEngine(Model& model, EngineConfig cfg,
   for (std::uint32_t pe = 0; pe < cfg_.num_pes; ++pe) {
     pes_.push_back(std::make_unique<PeData>());
     pes_.back()->id = pe;
-    pes_.back()->pending.configure(cfg_.queue_kind);
   }
   local_min_.resize(cfg_.num_pes, kTimeInf);
   local_max_ts_.resize(cfg_.num_pes, kTimeNegInf);

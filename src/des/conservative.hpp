@@ -32,8 +32,8 @@
 
 #include "des/engine.hpp"
 #include "des/event.hpp"
+#include "des/ladder_queue.hpp"
 #include "des/model.hpp"
-#include "des/pending_set.hpp"
 #include "net/mapping.hpp"
 #include "obs/probe.hpp"
 
@@ -68,7 +68,7 @@ class ConservativeEngine final : public Engine {
  private:
   struct alignas(64) PeData {
     std::uint32_t id = 0;
-    PendingSet pending;
+    LadderQueue pending;
     std::mutex inbox_mu;
     std::vector<Event*> inbox;
     EventPool pool;

@@ -76,13 +76,6 @@ struct EngineConfig {
   // rollback. Only exact matches are reused, so results stay bit-identical.
   enum class Cancellation : std::uint8_t { Aggressive, Lazy };
   Cancellation cancellation = Cancellation::Aggressive;
-  // Pending-queue implementation behind des::PendingSet: the splay tree is
-  // what ROSS uses, the multiset is the STL reference, and the ladder and
-  // calendar queues are the bucket-based contenders. Identical semantics —
-  // the queue ablation bench (bench/ablation_event_queue) races all four;
-  // the default is the shoot-out winner on the PHOLD-style churn pattern.
-  enum class QueueKind : std::uint8_t { Multiset, Splay, Ladder, Calendar };
-  QueueKind queue_kind = QueueKind::Ladder;
   // Optimism throttle (moving time window): a PE only executes events with
   // ts <= GVT + window. Infinite reproduces pure Time Warp; a few model time
   // steps tames rollback thrash when PEs are badly co-paced (e.g. more PEs
@@ -235,12 +228,6 @@ class Engine {
     for (std::uint32_t lp = 0; lp < num_lps(); ++lp) fn(lp, state(lp));
   }
 };
-
-// Every pending-queue backend, for the ablation bench and the shared
-// conformance tests (tests/test_pending_set.cpp iterates this list).
-inline constexpr EngineConfig::QueueKind kAllQueueKinds[] = {
-    EngineConfig::QueueKind::Multiset, EngineConfig::QueueKind::Splay,
-    EngineConfig::QueueKind::Ladder, EngineConfig::QueueKind::Calendar};
 
 enum class EngineKind : std::uint8_t { Sequential, TimeWarp, Conservative };
 

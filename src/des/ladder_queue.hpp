@@ -2,8 +2,13 @@
 
 // Ladder queue pending-event set (Tang, Goh & Thng, "Ladder queue: An O(1)
 // priority queue structure for large-scale discrete event simulation",
-// TOMACS 2005) — one of the two contenders the pending-set shoot-out bench
-// races against the splay tree (bench/ablation_event_queue).
+// TOMACS 2005) — the pending set all three kernels own directly
+// (EXPERIMENTS.md records the measurements that make it the only one).
+// tests/test_pending_set.cpp holds it to a std::multiset oracle.
+//
+// Contract the engines rely on: pops come in full EventKey order, duplicate
+// keys may pop in any relative order, and erase removes exactly the given
+// envelope (not merely one with an equal key).
 //
 // Three tiers:
 //   * Top    — an unsorted overflow list for far-future events (everything
@@ -26,8 +31,8 @@
 // for the not-found answer, which only ghosts and float-boundary edge cases
 // reach.
 //
-// Duplicate full keys are permitted, as in SplayQueue; among equal keys any
-// pop order is allowed.
+// Duplicate full keys are permitted; among equal keys any pop order is
+// allowed.
 //
 // Rung geometry is ULP-aware: a rung's bucket width never drops below a few
 // ULPs of its own start timestamp (min_width_at). An absolute floor is not

@@ -84,7 +84,7 @@ class SequentialEngine::ICtx final : public InitContext {
 };
 
 SequentialEngine::SequentialEngine(Model& model, EngineConfig cfg)
-    : model_(model), cfg_(cfg), pending_(cfg.queue_kind) {
+    : model_(model), cfg_(cfg) {
   HP_ASSERT(cfg_.num_lps > 0, "num_lps must be positive");
   states_.reserve(cfg_.num_lps);
   rngs_.reserve(cfg_.num_lps);

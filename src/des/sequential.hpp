@@ -10,8 +10,8 @@
 
 #include "des/engine.hpp"
 #include "des/event.hpp"
+#include "des/ladder_queue.hpp"
 #include "des/model.hpp"
-#include "des/pending_set.hpp"
 
 namespace hp::obs {
 class TelemetryHub;
@@ -43,7 +43,7 @@ class SequentialEngine final : public Engine {
   Model& model_;
   EngineConfig cfg_;
   EventPool pool_;
-  PendingSet pending_;
+  LadderQueue pending_;
   std::vector<std::unique_ptr<LpState>> states_;
   std::vector<util::ReversibleRng> rngs_;
   // Latency telemetry (ObsConfig::telemetry): off => zero clock reads on

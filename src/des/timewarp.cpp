@@ -223,7 +223,6 @@ TimeWarpEngine::TimeWarpEngine(Model& model, EngineConfig cfg)
   for (std::uint32_t pe = 0; pe < cfg_.num_pes; ++pe) {
     pes_.push_back(std::make_unique<PeData>());
     pes_.back()->id = pe;
-    pes_.back()->pending.configure(cfg_.queue_kind);
     pes_.back()->out.resize(cfg_.num_pes);
     // Adaptive pacing starts at the ceiling and floats downward; the floor
     // never exceeds the configured interval (tiny intervals stay exact).
@@ -651,8 +650,8 @@ void TimeWarpEngine::drain_inbox(PeData& pe) {
 //   * a positive is always consumed (delivered or parked) before its anti is
 //     acted on — antis flush the reorder buffer and check the holdback, and
 //     per-producer FIFO already orders the raw pops;
-//   * parked envelopes keep feeding the GVT minimum (gvt_round walks
-//     chaos_held), so nothing can commit past a held event;
+//   * parked envelopes keep feeding the GVT minimum (held_min walks
+//     chaos_held in both GVT modes), so nothing can commit past a held event;
 //   * only delivery *timing* changes — event content and the model RNG
 //     streams are untouched, so committed results stay bit-identical.
 void TimeWarpEngine::drain_inbox_chaos(PeData& pe) {
@@ -1063,96 +1062,53 @@ void TimeWarpEngine::publish_slice(PeData& pe, std::uint64_t inbox_depth) {
   }
 }
 
-bool TimeWarpEngine::gvt_round(PeData& pe) {
-  HP_ASSERT(pe.out_dirty.empty(),
-            "PE %u: outbound batches must be flushed before a GVT round "
-            "(%zu dirty)",
-            pe.id, pe.out_dirty.size());
-  pe.probe.switch_to(Phase::GvtBarrier);
-  wd_beacons_[pe.id].set_phase(BeaconPhase::GvtBarrier);
-  // Barrier A: everybody stops sending/processing.
-  bar_a_.arrive_and_wait();
-  if (pe.id == 0) {
-    gvt_request_.store(false, std::memory_order_relaxed);
-  }
-  // With all PEs quiescent, every sent message is fully linked in some
-  // inbox (producers flushed and arrived at the barrier after their release
-  // pushes), so min(pending, inbox) over all PEs is a valid GVT — no
-  // transient messages, and the non-destructive inbox walk sees every node.
+// Lower bound on everything this PE holds: the pending minimum and the fault
+// injector's holdback. Envelopes parked by the injector are invisible to the
+// pending set but must still bound GVT from below: a held positive (or a
+// duplicate anti) is in-flight work nothing may commit past. This is what
+// makes every fault plan delay-only. Both GVT modes reduce over it; what is
+// still in the channel is covered by barrier mode's inbox walk and by epoch
+// mode's send minimum.
+Time TimeWarpEngine::held_min(PeData& pe) {
   Event* pmin = pe.pending.peek_min();
   Time local = pmin == nullptr ? kTimeInf : pmin->key.ts;
-  std::uint64_t inbox_depth = 0;
-  pe.inbox.unsafe_for_each([&local, &inbox_depth](const Event& ev) {
-    local = std::min(local, ev.key.ts);
-    ++inbox_depth;
-  });
   if (HP_UNLIKELY(chaos_)) {
-    // Envelopes parked by the fault injector are invisible to the pending
-    // set and the inbox walk but must still bound GVT from below: a held
-    // positive (or a duplicate anti) is in-flight work nothing may commit
-    // past. This is what makes every fault plan delay-only.
     for (const PeData::HeldEnvelope& h : pe.chaos_held) {
       local = std::min(local, h.ev->key.ts);
-      ++inbox_depth;
     }
   }
-  local_min_[pe.id] = local;
-  // Publish this PE's round slice before barrier B. PE 0 reads all slices
-  // after it for the monitor heartbeat, and every PE reads them for the
-  // flow-control signal (nobody can reach the next round's slice writes
-  // until all readers pass the next barrier A, so the reads are race-free).
-  if (slices_on_) publish_slice(pe, inbox_depth);
-  // Barrier B: minima published; everybody computes the same global min.
-  bar_b_.arrive_and_wait();
-  Time gvt = kTimeInf;
-  for (Time m : local_min_) gvt = std::min(gvt, m);
-  if (pe.id == 0) {
-    const std::uint64_t round_idx =
-        gvt_rounds_.fetch_add(1, std::memory_order_relaxed);
-    shared_gvt_.store(gvt, std::memory_order_relaxed);
-    // Progress heart for the stall watchdog: GVT and the committed count
-    // (slice-summed when slices are live, PE 0's own otherwise — any
-    // monotone proxy works, the watchdog only asks "did it move").
-    std::uint64_t wd_committed = ck_base_committed_;
-    if (slices_on_) {
-      for (const MonitorSlice& sl : mon_slices_) wd_committed += sl.committed;
-    } else {
-      wd_committed += pe.committed_at_last_gvt;
-    }
-    wd_heart_.gvt_bits.store(std::bit_cast<std::uint64_t>(gvt),
-                             std::memory_order_relaxed);
-    wd_heart_.committed.store(wd_committed, std::memory_order_relaxed);
-    wd_heart_.rounds.store(round_idx + 1, std::memory_order_relaxed);
-    if (monitor_ != nullptr &&
-        ++mon_rounds_since_emit_ >= std::max(1u, cfg_.obs.monitor_interval)) {
-      mon_rounds_since_emit_ = 0;
-      emit_monitor_record(round_idx, gvt);
-    }
-    if (HP_UNLIKELY(telemetry_)) {
-      // Live gauges from the round slices PE 0 already owns the right to
-      // read here (see the MonitorSlice comment): a partial counter set —
-      // the full array lands with the final snapshot in run().
-      obs::GaugeSnapshot g;
-      for (const MonitorSlice& sl : mon_slices_) {
-        g.counters[static_cast<std::size_t>(Counter::Processed)] +=
-            sl.processed;
-        g.counters[static_cast<std::size_t>(Counter::RolledBack)] +=
-            sl.rolled_back;
-        g.counters[static_cast<std::size_t>(Counter::PoolLiveEnvelopes)] +=
-            sl.pool_live;
-        g.counters[static_cast<std::size_t>(Counter::PoolBytes)] +=
-            sl.pool_bytes;
-      }
-      g.gvt = gvt;
-      g.round = round_idx;
-      g.wall_seconds =
-          static_cast<double>(obs::monotonic_ns() - epoch_ns_) * 1e-9;
-      hub_->publish_gauges(g);
-    }
+  return local;
+}
+
+// Engine-global side effects of a new GVT, taken by exactly one PE per round
+// (PE 0 after barrier B; the close winner in epoch mode): the round count,
+// the shared GVT and the stall watchdog's progress heart. The heart's
+// committed count is slice-summed when slices are live, the caller's own
+// otherwise — any monotone proxy works, the watchdog only asks "did it
+// move". Both callers may read the slices here (see MonitorSlice).
+void TimeWarpEngine::publish_gvt(PeData& pe, Time gvt) {
+  const std::uint64_t rounds =
+      gvt_rounds_.fetch_add(1, std::memory_order_relaxed) + 1;
+  shared_gvt_.store(gvt, std::memory_order_relaxed);
+  std::uint64_t wd_committed = ck_base_committed_;
+  if (slices_on_) {
+    for (const MonitorSlice& sl : mon_slices_) wd_committed += sl.committed;
+  } else {
+    wd_committed += pe.committed_at_last_gvt;
   }
-  pe.probe.switch_to(Phase::Fossil);
+  wd_heart_.gvt_bits.store(std::bit_cast<std::uint64_t>(gvt),
+                           std::memory_order_relaxed);
+  wd_heart_.committed.store(wd_committed, std::memory_order_relaxed);
+  wd_heart_.rounds.store(rounds, std::memory_order_relaxed);
+}
+
+void TimeWarpEngine::commit_point(PeData& pe, Time gvt,
+                                  std::uint64_t inbox_depth) {
   wd_beacons_[pe.id].set_phase(BeaconPhase::Fossil);
-  fossil_collect(pe, gvt);
+  {
+    obs::PhaseScope fossil_phase(pe.probe, Phase::Fossil);
+    fossil_collect(pe, gvt);
+  }
   {
     // Per-PE progress beacon for the stall dump: a handful of relaxed
     // stores once per GVT round, nothing on the event hot path.
@@ -1190,11 +1146,14 @@ bool TimeWarpEngine::gvt_round(PeData& pe) {
   if (HP_UNLIKELY(chaos_) && stall_active(pe)) {
     ++pe.metrics.at(Counter::ChaosStallRounds);
   }
-  // Checkpoint trigger: every input is identical on every PE — the
-  // barrier-global gvt, the slice-summed committed count (published between
-  // barriers A and B, read after B) and ck_next_ (written only by PE 0
+  // Checkpoint trigger: every input is identical on every PE — the global
+  // gvt, the slice-summed committed count and ck_next_ (written only by PE 0
   // between checkpoint barriers) — so the branch is all-or-none and the
-  // barriers inside checkpoint_round always pair up.
+  // barriers inside checkpoint_round always pair up. In epoch mode the PEs
+  // simply gather at those barriers from their own loops; traffic the
+  // quiesce loops move is tagged e+1 (every PE is in e+1 throughout, the ack
+  // gate holds e+2 shut) and drains pop-count as usual, so the next close's
+  // accounting stays balanced.
   if (HP_UNLIKELY(ck_on_) && gvt <= cfg_.end_time) {
     std::uint64_t committed = ck_base_committed_;
     for (const MonitorSlice& sl : mon_slices_) committed += sl.committed;
@@ -1211,20 +1170,102 @@ bool TimeWarpEngine::gvt_round(PeData& pe) {
     do_migration_round(pe, gvt);
     round_moves = pe.mig_moves_total - before;
   }
-  // This PE's slice of the round sample; run() sums the slices per round
-  // (rounds are barrier-global, so local_rounds agrees across PEs).
-  pe.series.push(obs::GvtRoundSample{
-      pe.local_rounds, obs::monotonic_ns() - epoch_ns_, gvt,
+  // This PE's slice of the round sample; run() sums the slices per round.
+  // Rounds are totally ordered and every PE applies every one, so
+  // local_rounds agrees across PEs and the rings stay index-aligned. The two
+  // epoch columns are PE-0 scoped in the merged series (not summed): wall
+  // time this epoch stayed open, and the close's latched in-flight peak.
+  const std::uint64_t now_ns = obs::monotonic_ns();
+  obs::GvtRoundSample sample{
+      pe.local_rounds, now_ns - epoch_ns_, gvt,
       pe.processed_since_gvt, committed_delta, inbox_depth,
       pe.pool.allocated(),
       static_cast<std::uint64_t>(std::max<std::int64_t>(0, pe.pool.live())),
-      pe.id == 0 ? round_moves : 0, pe.pool.pool_bytes()});
+      pe.id == 0 ? round_moves : 0, pe.pool.pool_bytes()};
+  if (epoch_mode_) {
+    sample.epoch_dur_ns =
+        now_ns - (pe.ep_last_close_ns == 0 ? epoch_ns_ : pe.ep_last_close_ns);
+    sample.in_flight = ep_inflight_last_.load(std::memory_order_relaxed);
+    pe.ep_last_close_ns = now_ns;
+  }
+  pe.series.push(sample);
+  if (pe.id == 0) {
+    // PE 0 may read every slice until it reaches the next round's slice
+    // writes itself (barrier A, or the ack gate in epoch mode), so the
+    // heartbeat and the gauges follow the checkpoint and migration rounds.
+    if (monitor_ != nullptr &&
+        ++mon_rounds_since_emit_ >= std::max(1u, cfg_.obs.monitor_interval)) {
+      mon_rounds_since_emit_ = 0;
+      emit_monitor_record(pe.local_rounds, gvt);
+    }
+    if (HP_UNLIKELY(telemetry_)) {
+      // A partial counter set — the full array lands with the final
+      // snapshot in run().
+      obs::GaugeSnapshot g;
+      for (const MonitorSlice& sl : mon_slices_) {
+        g.counters[static_cast<std::size_t>(Counter::Processed)] +=
+            sl.processed;
+        g.counters[static_cast<std::size_t>(Counter::RolledBack)] +=
+            sl.rolled_back;
+        g.counters[static_cast<std::size_t>(Counter::PoolLiveEnvelopes)] +=
+            sl.pool_live;
+        g.counters[static_cast<std::size_t>(Counter::PoolBytes)] +=
+            sl.pool_bytes;
+      }
+      g.gvt = gvt;
+      g.round = pe.local_rounds;
+      g.wall_seconds = static_cast<double>(now_ns - epoch_ns_) * 1e-9;
+      if (epoch_mode_) {
+        g.gvt_mode = 1;
+        g.epoch = pe.local_rounds + 1;
+        g.in_flight = sample.in_flight;
+      }
+      hub_->publish_gauges(g);
+    }
+  }
   ++pe.local_rounds;
   pe.committed_at_last_gvt = pe.metrics.at(Counter::Committed);
   pe.processed_since_gvt = 0;
   pe.idle_iters = 0;
-  pe.probe.switch_to(Phase::Forward);
   wd_beacons_[pe.id].set_phase(BeaconPhase::Execute);
+}
+
+bool TimeWarpEngine::gvt_round(PeData& pe) {
+  HP_ASSERT(pe.out_dirty.empty(),
+            "PE %u: outbound batches must be flushed before a GVT round "
+            "(%zu dirty)",
+            pe.id, pe.out_dirty.size());
+  pe.probe.switch_to(Phase::GvtBarrier);
+  wd_beacons_[pe.id].set_phase(BeaconPhase::GvtBarrier);
+  // Barrier A: everybody stops sending/processing.
+  bar_a_.arrive_and_wait();
+  if (pe.id == 0) {
+    gvt_request_.store(false, std::memory_order_relaxed);
+  }
+  // With all PEs quiescent, every sent message is fully linked in some
+  // inbox (producers flushed and arrived at the barrier after their release
+  // pushes), so min(pending, held, inbox) over all PEs is a valid GVT — no
+  // transient messages, and the non-destructive inbox walk sees every node.
+  // Held envelopes count toward the observed inbox depth.
+  Time local = held_min(pe);
+  std::uint64_t inbox_depth = pe.chaos_held.size();
+  pe.inbox.unsafe_for_each([&local, &inbox_depth](const Event& ev) {
+    local = std::min(local, ev.key.ts);
+    ++inbox_depth;
+  });
+  local_min_[pe.id] = local;
+  // Publish this PE's round slice before barrier B. PE 0 reads all slices
+  // after it for the monitor heartbeat, and every PE reads them for the
+  // flow-control signal (nobody can reach the next round's slice writes
+  // until all readers pass the next barrier A, so the reads are race-free).
+  if (slices_on_) publish_slice(pe, inbox_depth);
+  // Barrier B: minima published; everybody computes the same global min.
+  bar_b_.arrive_and_wait();
+  Time gvt = kTimeInf;
+  for (Time m : local_min_) gvt = std::min(gvt, m);
+  if (pe.id == 0) publish_gvt(pe, gvt);
+  commit_point(pe, gvt, inbox_depth);
+  pe.probe.switch_to(Phase::Forward);
   return gvt > cfg_.end_time;
 }
 
@@ -1301,18 +1342,9 @@ void TimeWarpEngine::epoch_cross(PeData& pe) {
   obs::PhaseScope phase(pe.probe, Phase::GvtEpoch);
   EpochSlot& slot = ep_slots_[pe.id];
   const std::uint64_t e = pe.local_epoch;
-  // Local minimum over everything this PE holds: the pending set plus the
-  // fault injector's holdback (parked envelopes are in-flight work nothing
-  // may commit past, exactly as in the barrier walk). No inbox walk — what
-  // is still in the channel is covered by its sender's sendmin/send count.
-  Event* pmin = pe.pending.peek_min();
-  Time local = pmin == nullptr ? kTimeInf : pmin->key.ts;
-  if (HP_UNLIKELY(chaos_)) {
-    for (const PeData::HeldEnvelope& h : pe.chaos_held) {
-      local = std::min(local, h.ev->key.ts);
-    }
-  }
-  slot.localmin_bits.store(std::bit_cast<std::uint64_t>(local),
+  // No inbox walk — what is still in the channel is covered by its
+  // sender's sendmin/send count.
+  slot.localmin_bits.store(std::bit_cast<std::uint64_t>(held_min(pe)),
                            std::memory_order_relaxed);
   slot.sendmin_bits.store(std::bit_cast<std::uint64_t>(pe.cur_epoch_sendmin),
                           std::memory_order_relaxed);
@@ -1379,11 +1411,11 @@ void TimeWarpEngine::try_close_epoch(PeData& pe) {
                                           std::memory_order_relaxed)) {
     return;  // somebody else won this close with the same g
   }
-  // Winner-only global side effects — the epoch-mode mirror of PE 0's block
-  // between barriers in gvt_round.
-  const std::uint64_t round_idx =
-      gvt_rounds_.fetch_add(1, std::memory_order_relaxed);
-  shared_gvt_.store(g, std::memory_order_relaxed);
+  // Winner-only global side effects, as PE 0 takes them between the
+  // barriers in gvt_round. The slices are readable here for the same reason
+  // bookkeeping may read them: every PE crossed (acquire above), and nobody
+  // overwrites before the acks complete.
+  publish_gvt(pe, g);
   gvt_request_.store(false, std::memory_order_relaxed);
   ++pe.metrics.at(Counter::GvtEpochCloses);
   const std::uint64_t peak =
@@ -1391,19 +1423,6 @@ void TimeWarpEngine::try_close_epoch(PeData& pe) {
   ep_inflight_last_.store(peak, std::memory_order_relaxed);
   std::uint64_t& peak_metric = pe.metrics.at(Counter::GvtEpochInflightPeak);
   peak_metric = std::max(peak_metric, peak);
-  // Progress heart for the stall watchdog. The slices are readable here for
-  // the same reason bookkeeping may read them: every PE crossed (acquire
-  // above), and nobody overwrites before the acks complete.
-  std::uint64_t wd_committed = ck_base_committed_;
-  if (slices_on_) {
-    for (const MonitorSlice& sl : mon_slices_) wd_committed += sl.committed;
-  } else {
-    wd_committed += pe.committed_at_last_gvt;
-  }
-  wd_heart_.gvt_bits.store(std::bit_cast<std::uint64_t>(g),
-                           std::memory_order_relaxed);
-  wd_heart_.committed.store(wd_committed, std::memory_order_relaxed);
-  wd_heart_.rounds.store(round_idx + 1, std::memory_order_relaxed);
 }
 
 bool TimeWarpEngine::epoch_close_bookkeeping(PeData& pe, std::uint64_t e) {
@@ -1417,115 +1436,9 @@ bool TimeWarpEngine::epoch_close_bookkeeping(PeData& pe, std::uint64_t e) {
   // every PE acks this close, which includes us.
   const Time gvt =
       std::bit_cast<Time>(ep_gvt_bits_.load(std::memory_order_relaxed));
-  wd_beacons_[pe.id].set_phase(BeaconPhase::Fossil);
-  {
-    obs::PhaseScope fossil_phase(pe.probe, Phase::Fossil);
-    fossil_collect(pe, gvt);
-  }
-  {
-    // Per-PE progress beacon, as in gvt_round (no quiescent inbox walk in
-    // epoch mode, so the inbox depth reads 0 here).
-    PeBeacon& b = wd_beacons_[pe.id];
-    b.processed.store(pe.metrics.at(Counter::Processed),
-                      std::memory_order_relaxed);
-    b.committed.store(pe.metrics.at(Counter::Committed),
-                      std::memory_order_relaxed);
-    b.pending.store(pe.pending.size(), std::memory_order_relaxed);
-    b.inbox.store(0, std::memory_order_relaxed);
-    const auto [wd_kp, wd_kp_events] = pe.forensics.top_offender();
-    b.top_kp.store(wd_kp_events > 0 ? wd_kp : ~0u, std::memory_order_relaxed);
-  }
-  const std::uint64_t committed_delta =
-      pe.metrics.at(Counter::Committed) - pe.committed_at_last_gvt;
-  if (cfg_.adaptive_gvt && pe.processed_since_gvt > 0) {
-    // Identical commit-yield steering to gvt_round; the "round" is now the
-    // span between consecutive closes.
-    const double yield_ratio =
-        std::min(1.0, static_cast<double>(committed_delta) /
-                          static_cast<double>(pe.processed_since_gvt));
-    const std::uint32_t floor_interval =
-        std::min(kGvtMinInterval, std::max(1u, cfg_.gvt_interval_events));
-    if (yield_ratio < kShrinkYield) {
-      pe.effective_gvt_interval =
-          std::max(floor_interval, pe.effective_gvt_interval / 2);
-    } else if (yield_ratio > kGrowYield) {
-      pe.effective_gvt_interval = std::min(
-          std::max(1u, cfg_.gvt_interval_events), pe.effective_gvt_interval * 2);
-    }
-  }
-  if (HP_UNLIKELY(flow_on_)) update_flow_window(pe, gvt);
-  if (HP_UNLIKELY(chaos_) && stall_active(pe)) {
-    ++pe.metrics.at(Counter::ChaosStallRounds);
-  }
-  // Checkpoint and migration rounds anchor to the close exactly as they
-  // anchor to the barrier round: every PE applies every close in order with
-  // identical replicated trigger inputs (the cut-published slices, ck_next_,
-  // the per-close local_rounds counter), so the all-or-none branches still
-  // hold and the barriers inside the rounds pair up — the PEs simply gather
-  // at them from their own loops instead of from a shared round. Traffic the
-  // quiesce loops move is tagged e+1 (every PE is in e+1 throughout, the ack
-  // gate holds e+2 shut) and drains pop-count as usual, so the next close's
-  // accounting stays balanced.
-  if (HP_UNLIKELY(ck_on_) && gvt <= cfg_.end_time) {
-    std::uint64_t committed = ck_base_committed_;
-    for (const MonitorSlice& sl : mon_slices_) committed += sl.committed;
-    if (committed >= ck_next_) checkpoint_round(pe, gvt);
-  }
-  std::uint64_t round_moves = 0;
-  if (HP_UNLIKELY(mig_on_)) {
-    const std::uint64_t before = pe.mig_moves_total;
-    do_migration_round(pe, gvt);
-    round_moves = pe.mig_moves_total - before;
-  }
-  // This PE's slice of the round sample. Closes are totally ordered and
-  // applied by every PE, so local_rounds agrees across PEs and the rings
-  // stay index-aligned for run()'s merge. The two epoch columns are PE-0
-  // scoped in the merged series (not summed): wall time this epoch stayed
-  // open, and the close's latched in-flight peak.
-  const std::uint64_t now_ns = obs::monotonic_ns();
-  const std::uint64_t opened_ns =
-      pe.ep_last_close_ns == 0 ? epoch_ns_ : pe.ep_last_close_ns;
-  pe.series.push(obs::GvtRoundSample{
-      pe.local_rounds, now_ns - epoch_ns_, gvt,
-      pe.processed_since_gvt, committed_delta, /*inbox_depth=*/0,
-      pe.pool.allocated(),
-      static_cast<std::uint64_t>(std::max<std::int64_t>(0, pe.pool.live())),
-      pe.id == 0 ? round_moves : 0, pe.pool.pool_bytes(),
-      now_ns - opened_ns,
-      ep_inflight_last_.load(std::memory_order_relaxed)});
-  pe.ep_last_close_ns = now_ns;
-  if (pe.id == 0) {
-    if (monitor_ != nullptr &&
-        ++mon_rounds_since_emit_ >= std::max(1u, cfg_.obs.monitor_interval)) {
-      mon_rounds_since_emit_ = 0;
-      emit_monitor_record(e - 1, gvt);
-    }
-    if (HP_UNLIKELY(telemetry_)) {
-      obs::GaugeSnapshot g;
-      for (const MonitorSlice& sl : mon_slices_) {
-        g.counters[static_cast<std::size_t>(Counter::Processed)] +=
-            sl.processed;
-        g.counters[static_cast<std::size_t>(Counter::RolledBack)] +=
-            sl.rolled_back;
-        g.counters[static_cast<std::size_t>(Counter::PoolLiveEnvelopes)] +=
-            sl.pool_live;
-        g.counters[static_cast<std::size_t>(Counter::PoolBytes)] +=
-            sl.pool_bytes;
-      }
-      g.gvt = gvt;
-      g.round = e - 1;
-      g.wall_seconds = static_cast<double>(now_ns - epoch_ns_) * 1e-9;
-      g.gvt_mode = 1;
-      g.epoch = e;
-      g.in_flight = ep_inflight_last_.load(std::memory_order_relaxed);
-      hub_->publish_gauges(g);
-    }
-  }
-  ++pe.local_rounds;
-  pe.committed_at_last_gvt = pe.metrics.at(Counter::Committed);
-  pe.processed_since_gvt = 0;
-  pe.idle_iters = 0;
-  wd_beacons_[pe.id].set_phase(BeaconPhase::Execute);
+  // Epoch cuts have no quiescent point to walk the inbox, so the observed
+  // inbox depth is 0.
+  commit_point(pe, gvt, /*inbox_depth=*/0);
   pe.ep_done = e;
   // Ack LAST (release): the cut into e+2 — which overwrites the slots and
   // slices this close read — acquire-gates on the full ack count.
@@ -1742,9 +1655,9 @@ void TimeWarpEngine::emit_monitor_record(std::uint64_t round_idx, Time gvt) {
   mon_last_ns_ = now;
 }
 
-// Dynamic KP migration round. Called by every PE from inside gvt_round,
-// after barrier B of the GVT protocol, so the round index and the global
-// minimum are barrier-global knowledge. The protocol:
+// Dynamic KP migration round. Called by every PE from commit_point once the
+// round's GVT is agreed, so the round index and the global minimum are
+// replicated knowledge. The protocol:
 //
 //   1. Plan. Every PE runs the same pure planner (des/migration.hpp) over
 //      the same replicated inputs — the round slices plus its own snapshots

@@ -54,8 +54,8 @@
 
 #include "des/engine.hpp"
 #include "des/event.hpp"
+#include "des/ladder_queue.hpp"
 #include "des/model.hpp"
-#include "des/pending_set.hpp"
 #include "net/mapping.hpp"
 #include "obs/forensics.hpp"
 #include "obs/monitor.hpp"
@@ -104,7 +104,7 @@ class TimeWarpEngine final : public Engine {
   struct alignas(64) PeData {
     std::uint32_t id = 0;
     std::vector<std::uint32_t> kps;
-    PendingSet pending;
+    LadderQueue pending;
     util::MpscQueue<Event> inbox;
     EventPool pool;
     std::uint64_t uid_counter = 0;
@@ -306,8 +306,23 @@ class TimeWarpEngine final : public Engine {
                    std::uint32_t offender_kp);
   void undo_event(PeData& pe, Event* ev);
   void process_one(PeData& pe, Event* ev);
-  // Returns true when the run is complete (GVT beyond end time).
+  // Barrier GVT round. Returns true when the run is complete (GVT beyond end
+  // time).
   bool gvt_round(PeData& pe);
+  // The one commit point both GVT modes reach with a new GVT: reached by
+  // every PE from gvt_round after barrier B, and from
+  // epoch_close_bookkeeping for every won close in order. Runs fossil
+  // collection, the progress beacon, adaptive-interval steering, the flow
+  // window, the chaos stall counter, the checkpoint and migration rounds,
+  // the GvtRoundSample push, PE 0's monitor record and gauges, and the
+  // per-round resets. `inbox_depth` is the observed inbox depth (0 at epoch
+  // cuts, which cannot walk the inbox).
+  void commit_point(PeData& pe, Time gvt, std::uint64_t inbox_depth);
+  // Engine-global side effects of a new GVT (round count, shared GVT,
+  // watchdog heart), taken by one PE per round in either mode.
+  void publish_gvt(PeData& pe, Time gvt);
+  // Minimum timestamp over the pending set and the chaos holdback.
+  Time held_min(PeData& pe);
   // Epoch GVT (cfg.gvt_mode == Epoch): the per-iteration pump replacing the
   // barrier-mode `if (gvt_request_) gvt_round()` branch. Applies any closes
   // other PEs have already won (epoch_close_bookkeeping, in order), crosses
@@ -322,30 +337,29 @@ class TimeWarpEngine final : public Engine {
   void epoch_cross(PeData& pe);
   // Evaluate the close condition for the oldest open epoch: every PE crossed
   // past it and global sends == global receives for its tag. The winner CASes
-  // ep_closed_ forward and takes the global side-effects (shared GVT, round
-  // count, request-flag clear).
+  // ep_closed_ forward and takes the global side-effects (publish_gvt and the
+  // request-flag clear).
   void try_close_epoch(PeData& pe);
-  // Per-PE bookkeeping for a won close of epoch `e` — the epoch-mode mirror
-  // of gvt_round's post-barrier-B tail: fossil, flow window, checkpoint and
-  // migration rounds, series/monitor, pacing resets. Acks the close last so
-  // crossings into e+2 (which overwrite slot e's fields) wait for every
-  // reader. Returns true when gvt ends the run.
+  // Per-PE bookkeeping for a won close of epoch `e`: commit_point at the
+  // close's GVT, then the ack. Acks the close last so crossings into e+2
+  // (which overwrite slot e's fields) wait for every reader. Returns true
+  // when gvt ends the run.
   bool epoch_close_bookkeeping(PeData& pe, std::uint64_t e);
   // Fill this PE's MonitorSlice (shared between barrier and epoch modes).
   void publish_slice(PeData& pe, std::uint64_t inbox_depth);
-  // Checkpoint at the GVT fence, entered from gvt_round by every PE in the
-  // same round (the trigger reads only barrier-published slice data): roll
+  // Checkpoint at the GVT fence, entered from commit_point by every PE in the
+  // same round (the trigger reads only replicated slice data): roll
   // every owned KP back to {gvt,0,0,0,0}, quiesce the traffic the sweep put
   // in flight, drain pending into the per-PE stage, PE 0 serializes while
   // the others park at a barrier, then everybody reinserts and resumes.
   void checkpoint_round(PeData& pe, Time gvt);
-  // Dynamic KP migration, called inside gvt_round after the global minimum
+  // Dynamic KP migration, called from commit_point once the global minimum
   // is known: every PE plans identically from the round slices, then the
   // affected PEs execute the stop-the-world handoff (quiescence loop,
   // extract, integrate, ownership flip + epoch bump). No-op on rounds the
   // planner is idle. `gvt` is this round's global minimum.
   void do_migration_round(PeData& pe, Time gvt);
-  // PE 0 only, after barrier B: aggregate the monitor slices and emit one
+  // PE 0 only, from commit_point: aggregate the monitor slices and emit one
   // JSON-lines heartbeat record.
   void emit_monitor_record(std::uint64_t round_idx, Time gvt);
   void fossil_collect(PeData& pe, Time gvt);

@@ -65,8 +65,11 @@ class ByteSource {
   double f64() { return std::bit_cast<double>(take<std::uint64_t>()); }
 
   // Copies n bytes out, or zero-fills and marks the source failed if fewer
-  // than n remain.
+  // than n remain. A zero-length read touches nothing: `out` may be null
+  // (an empty vector's data()), and memcpy/memset with a null pointer is
+  // undefined even for n == 0.
   void bytes(void* out, std::size_t n) {
+    if (n == 0) return;
     if (n > size_ - pos_) {
       failed_ = true;
       std::memset(out, 0, n);

@@ -111,15 +111,16 @@ struct ChaosCase {
 
 struct ChaosKnobs {
   ChaosCase fault;
-  EngineConfig::QueueKind queue;
+  EngineConfig::GvtMode gvt;
 };
 
 class ChaosMatrix : public ::testing::TestWithParam<ChaosKnobs> {};
 
-// Every fault plan, on a rollback-heavy PHOLD load at 4 PEs, commits
-// bit-identical state to the fault-free sequential reference.
+// Every fault plan, on a rollback-heavy PHOLD load at 4 PEs and under both
+// GVT algorithms, commits bit-identical state to the fault-free sequential
+// reference.
 TEST_P(ChaosMatrix, DeliveryFaultsNeverChangeCommittedState) {
-  const ChaosKnobs k = GetParam();
+  const auto [fault, gvt] = GetParam();
 
   PholdConfig pc;
   pc.num_lps = 48;
@@ -138,9 +139,9 @@ TEST_P(ChaosMatrix, DeliveryFaultsNeverChangeCommittedState) {
   ec.num_pes = 4;
   ec.num_kps = 16;
   ec.gvt_interval_events = 96;
-  ec.queue_kind = k.queue;
+  ec.gvt_mode = gvt;
   std::string err;
-  ASSERT_TRUE(FaultPlan::parse(k.fault.spec, ec.fault, err)) << err;
+  ASSERT_TRUE(FaultPlan::parse(fault.spec, ec.fault, err)) << err;
   ASSERT_TRUE(ec.fault.any());
 
   PholdModel m2(pc);
@@ -152,8 +153,8 @@ TEST_P(ChaosMatrix, DeliveryFaultsNeverChangeCommittedState) {
   EXPECT_EQ(tstats.committed_events(),
             tstats.processed_events() - tstats.rolled_back_events());
   // The plan must have actually done something, or the test proves nothing.
-  EXPECT_GT(tstats.metrics.total.at(k.fault.witness), 0u)
-      << "fault plan " << k.fault.spec << " never fired";
+  EXPECT_GT(tstats.metrics.total.at(fault.witness), 0u)
+      << "fault plan " << fault.spec << " never fired";
 }
 
 // A chaotic run with a fixed plan is itself exactly repeatable.
@@ -183,8 +184,8 @@ TEST(ChaosMatrix, ChaoticRunIsRepeatable) {
   EXPECT_EQ(PholdModel::digest(*a), PholdModel::digest(*b));
 }
 
-constexpr auto kSplay = EngineConfig::QueueKind::Splay;
-constexpr auto kMSet = EngineConfig::QueueKind::Multiset;
+constexpr auto kBarrier = EngineConfig::GvtMode::Barrier;
+constexpr auto kEpoch = EngineConfig::GvtMode::Epoch;
 
 constexpr ChaosCase kDelay = {"delay", "delay:p=0.3,k=2;seed=7",
                               Counter::ChaosDelayedEvents};
@@ -202,19 +203,24 @@ constexpr ChaosCase kCombined = {
     "stall:pe=2,rounds=3,at=1;seed=13",
     Counter::ChaosDelayedEvents};
 
+// Cell ids keep the token of the queue backend each cell was written for, so
+// that a cell's history stays under one test id. Every cell now runs the
+// ladder queue, and the token marks the GVT algorithm instead: `splay` cells
+// run the barrier GVT, `mset` cells the epoch GVT.
 INSTANTIATE_TEST_SUITE_P(
     FaultSweep, ChaosMatrix,
-    ::testing::Values(ChaosKnobs{kDelay, kSplay}, ChaosKnobs{kDelay, kMSet},
-                      ChaosKnobs{kReorder, kSplay},
-                      ChaosKnobs{kReorder, kMSet},
-                      ChaosKnobs{kStraggler, kSplay},
-                      ChaosKnobs{kDupAnti, kSplay},
-                      ChaosKnobs{kDupAnti, kMSet}, ChaosKnobs{kStall, kSplay},
-                      ChaosKnobs{kCombined, kSplay},
-                      ChaosKnobs{kCombined, kMSet}),
+    ::testing::Values(ChaosKnobs{kDelay, kBarrier}, ChaosKnobs{kDelay, kEpoch},
+                      ChaosKnobs{kReorder, kBarrier},
+                      ChaosKnobs{kReorder, kEpoch},
+                      ChaosKnobs{kStraggler, kBarrier},
+                      ChaosKnobs{kDupAnti, kBarrier},
+                      ChaosKnobs{kDupAnti, kEpoch},
+                      ChaosKnobs{kStall, kBarrier},
+                      ChaosKnobs{kCombined, kBarrier},
+                      ChaosKnobs{kCombined, kEpoch}),
     [](const auto& info) {
       return std::string(info.param.fault.name) +
-             (info.param.queue == kSplay ? "_splay" : "_mset");
+             (info.param.gvt == kBarrier ? "_splay" : "_mset");
     });
 
 // Full-stack variant: hot-potato torus through the core facade; the whole

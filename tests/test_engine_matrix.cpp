@@ -21,7 +21,7 @@ struct Knobs {
   std::uint32_t pes;
   std::uint32_t kps;
   double window;  // <= 0 means infinite
-  EngineConfig::QueueKind queue;
+  EngineConfig::GvtMode gvt;
   EngineConfig::Cancellation cancellation;
   bool state_saving;
 };
@@ -48,7 +48,7 @@ TEST_P(EngineMatrix, BitIdenticalToSequential) {
   ec.num_kps = k.kps;
   ec.gvt_interval_events = 96;
   ec.optimism_window = k.window > 0 ? k.window : kTimeInf;
-  ec.queue_kind = k.queue;
+  ec.gvt_mode = k.gvt;
   ec.cancellation = k.cancellation;
   ec.state_saving = k.state_saving;
   PholdModel m2(pc);
@@ -68,30 +68,34 @@ TEST_P(EngineMatrix, BitIdenticalToSequential) {
 
 constexpr auto kAgg = EngineConfig::Cancellation::Aggressive;
 constexpr auto kLazy = EngineConfig::Cancellation::Lazy;
-constexpr auto kSplay = EngineConfig::QueueKind::Splay;
-constexpr auto kMSet = EngineConfig::QueueKind::Multiset;
+constexpr auto kBarrier = EngineConfig::GvtMode::Barrier;
+constexpr auto kEpoch = EngineConfig::GvtMode::Epoch;
 
+// Cell ids keep the token of the queue backend each cell was written for, so
+// that a cell's history stays under one test id. Every cell now runs the
+// ladder queue, and the token marks the GVT algorithm instead: `splay` cells
+// run the barrier GVT, `mset` cells the epoch GVT.
 INSTANTIATE_TEST_SUITE_P(
     KnobSweep, EngineMatrix,
     ::testing::Values(
-        Knobs{2, 8, 0.0, kSplay, kAgg, false},
-        Knobs{2, 8, 0.0, kSplay, kLazy, false},
-        Knobs{2, 8, 0.0, kMSet, kAgg, false},
-        Knobs{2, 8, 0.0, kSplay, kAgg, true},
-        Knobs{4, 16, 0.0, kSplay, kLazy, false},
-        Knobs{4, 16, 0.0, kMSet, kLazy, true},
-        Knobs{4, 16, 5.0, kSplay, kAgg, false},
-        Knobs{4, 16, 5.0, kSplay, kLazy, false},
-        Knobs{4, 16, 5.0, kMSet, kAgg, true},
-        Knobs{3, 12, 2.0, kSplay, kLazy, true},
-        Knobs{8, 24, 10.0, kSplay, kAgg, false},
-        Knobs{8, 24, 0.0, kMSet, kLazy, false}),
+        Knobs{2, 8, 0.0, kBarrier, kAgg, false},
+        Knobs{2, 8, 0.0, kBarrier, kLazy, false},
+        Knobs{2, 8, 0.0, kEpoch, kAgg, false},
+        Knobs{2, 8, 0.0, kBarrier, kAgg, true},
+        Knobs{4, 16, 0.0, kBarrier, kLazy, false},
+        Knobs{4, 16, 0.0, kEpoch, kLazy, true},
+        Knobs{4, 16, 5.0, kBarrier, kAgg, false},
+        Knobs{4, 16, 5.0, kBarrier, kLazy, false},
+        Knobs{4, 16, 5.0, kEpoch, kAgg, true},
+        Knobs{3, 12, 2.0, kBarrier, kLazy, true},
+        Knobs{8, 24, 10.0, kBarrier, kAgg, false},
+        Knobs{8, 24, 0.0, kEpoch, kLazy, false}),
     [](const auto& info) {
       const Knobs& k = info.param;
       std::string name = "pe" + std::to_string(k.pes) + "_kp" +
                          std::to_string(k.kps) + "_w" +
                          std::to_string(static_cast<int>(k.window)) +
-                         (k.queue == kSplay ? "_splay" : "_mset") +
+                         (k.gvt == kBarrier ? "_splay" : "_mset") +
                          (k.cancellation == kLazy ? "_lazy" : "_agg") +
                          (k.state_saving ? "_ss" : "_rc");
       return name;

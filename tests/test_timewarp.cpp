@@ -84,15 +84,15 @@ INSTANTIATE_TEST_SUITE_P(
 // inbox — cross-PE stragglers roll KPs back constantly, rollbacks batch
 // anti-messages to every peer, and annihilation has to catch positives in
 // pending, processed and in-flight states. Committed state must stay
-// bit-identical to the sequential kernel under every queue backend and both
+// bit-identical to the sequential kernel under both GVT algorithms and both
 // cancellation strategies (lazy exercises stale-child adoption across the
 // same remote channel).
 class TimeWarpRemoteStress
     : public ::testing::TestWithParam<
-          std::tuple<EngineConfig::QueueKind, EngineConfig::Cancellation>> {};
+          std::tuple<EngineConfig::GvtMode, EngineConfig::Cancellation>> {};
 
 TEST_P(TimeWarpRemoteStress, CommittedStateMatchesSequential) {
-  const auto [queue_kind, cancellation] = GetParam();
+  const auto [gvt_mode, cancellation] = GetParam();
   constexpr std::uint32_t kLps = 48;
   constexpr double kEnd = 80.0;
 
@@ -108,7 +108,7 @@ TEST_P(TimeWarpRemoteStress, CommittedStateMatchesSequential) {
   tcfg.num_pes = 4;
   tcfg.num_kps = 16;
   tcfg.gvt_interval_events = 24;  // frequent rounds keep batches small+hot
-  tcfg.queue_kind = queue_kind;
+  tcfg.gvt_mode = gvt_mode;
   tcfg.cancellation = cancellation;
   TimeWarpEngine tw(model, tcfg);
   const RunStats t = tw.run();
@@ -124,16 +124,14 @@ TEST_P(TimeWarpRemoteStress, CommittedStateMatchesSequential) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    QueueAndCancellationMatrix, TimeWarpRemoteStress,
+    GvtAndCancellationMatrix, TimeWarpRemoteStress,
     ::testing::Combine(
-        ::testing::Values(EngineConfig::QueueKind::Splay,
-                          EngineConfig::QueueKind::Multiset),
+        ::testing::Values(EngineConfig::GvtMode::Barrier,
+                          EngineConfig::GvtMode::Epoch),
         ::testing::Values(EngineConfig::Cancellation::Aggressive,
                           EngineConfig::Cancellation::Lazy)),
     [](const auto& info) {
-      std::string name = std::get<0>(info.param) == EngineConfig::QueueKind::Splay
-                             ? "splay"
-                             : "multiset";
+      std::string name = gvt_mode_name(std::get<0>(info.param));
       name += std::get<1>(info.param) == EngineConfig::Cancellation::Aggressive
                   ? "_aggressive"
                   : "_lazy";

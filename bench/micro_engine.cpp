@@ -160,31 +160,6 @@ void BM_TimeWarpHotPotato(benchmark::State& state) {
 BENCHMARK(BM_TimeWarpHotPotato)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-// Adaptive GVT pacing (arg=1) against the fixed-threshold baseline (arg=0)
-// at 4 PEs; the committed-event rate is the figure of merit.
-void BM_TimeWarpGvtPacing(benchmark::State& state) {
-  const bool adaptive = state.range(0) != 0;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    hp::core::SimulationOptions o;
-    o.model.n = 16;
-    o.model.injector_fraction = 0.5;
-    o.model.steps = 32;
-    o.kernel = hp::core::Kernel::TimeWarp;
-    o.engine.num_pes = 4;
-    o.engine.num_kps = 64;
-    o.engine.optimism_window = 30.0;
-    o.engine.adaptive_gvt = adaptive;
-    const auto r = hp::core::run_hotpotato(o);
-    events += r.engine.committed_events();
-    benchmark::DoNotOptimize(r.report.delivered);
-  }
-  state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_TimeWarpGvtPacing)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 // ---------------------------------------------------------------------------
 // Deterministic perf-smoke mode (--json=<path>).
 

@@ -3,7 +3,9 @@
 // the remote-traffic fraction and lookahead, independent of the hot-potato
 // application. Remote events are the straggler source; lookahead bounds how
 // far an early message can land in a peer's past. The avg_batch column
-// shows the remote-path send batching (envelopes per inbox push).
+// shows the remote-path send batching (envelopes per inbox push). Every
+// Time Warp row must commit the same events and reach the same model digest
+// as its cell's sequential row, or the sweep exits 1.
 
 #include <algorithm>
 #include <string>
@@ -53,10 +55,14 @@ int main(int argc, char** argv) {
       // exposition file ends up holding the last run's final snapshot, which
       // is what the CI Prometheus smoke greps.
       hp::bench::apply_telemetry_flags(cli, ec);
+      std::uint64_t seq_committed = 0;
+      std::uint64_t seq_digest = 0;
       {
         hp::des::PholdModel model(pc);
         hp::des::SequentialEngine seq(model, ec);
         auto s = seq.run();
+        seq_committed = s.committed_events();
+        seq_digest = hp::des::PholdModel::digest(seq);
         table.add_row({100.0 * remote, lookahead, "sequential",
                        s.event_rate(), std::uint64_t{0}, 1.0,
                        std::uint64_t{0}, 0.0});
@@ -77,6 +83,15 @@ int main(int argc, char** argv) {
           auto t = tw.run();
           const bool epoch =
               mode == hp::des::EngineConfig::GvtMode::Epoch;
+          if (!hp::bench::same_workload(
+                  "phold_sweep",
+                  "remote=" + std::to_string(remote) + " lookahead=" +
+                      std::to_string(lookahead) + " " + std::to_string(pes) +
+                      "pe " + hp::des::gvt_mode_name(mode) + " row",
+                  t.committed_events(), seq_committed,
+                  hp::des::PholdModel::digest(tw) == seq_digest)) {
+            return 1;
+          }
           // Barrier rows keep the historical kernel label so committed
           // baselines stay comparable; epoch rows are tagged explicitly.
           table.add_row({100.0 * remote, lookahead,

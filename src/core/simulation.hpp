@@ -30,7 +30,7 @@ struct SimulationOptions {
   Kernel kernel = Kernel::Sequential;
 
   // Kernel configuration, embedded verbatim (seed, num_pes, num_kps,
-  // gvt_interval_events, adaptive_gvt, state_saving, optimism_window,
+  // gvt_interval_events, state_saving, optimism_window, pool_budget_envelopes,
   // cancellation, obs...). run_hotpotato fills the model-derived
   // fields (num_lps, end_time, mapping) itself; num_kps == 0 selects the
   // report default of 64 KPs. Anything set here reaches the engine without

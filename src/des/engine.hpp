@@ -43,27 +43,24 @@ struct EngineConfig {
   // mapping); if null a LinearMapping is built. Not owned.
   const net::Mapping* mapping = nullptr;
   // Per-PE processed events between GVT rounds. Also bounds memory: events
-  // can only be fossil-collected at GVT. Under adaptive pacing this is the
-  // *ceiling*; the effective per-PE interval floats below it.
+  // can only be fossil-collected at GVT. This is the *ceiling*: each PE's
+  // optimism controller (des/optimism.hpp) floats its effective interval
+  // below it on the commit yield of the previous round (wasted optimism =>
+  // sooner rounds, clean progress => stretch back toward the ceiling), and
+  // idle PEs request GVT with an exponential backoff. Results are
+  // bit-identical at any pacing — GVT timing affects only commit latency and
+  // memory, never event order.
   std::uint32_t gvt_interval_events = 4096;
-  // Adaptive GVT pacing: each PE adjusts its effective GVT interval from the
-  // commit yield of the previous round (wasted optimism => sooner rounds,
-  // clean progress => stretch toward gvt_interval_events), and idle PEs
-  // request GVT with an exponential backoff instead of a fixed spin count.
-  // Off reproduces the fixed-threshold behaviour (the GVT-interval ablation
-  // sweeps with this disabled). Results are bit-identical either way — GVT
-  // timing affects only commit latency and memory, never event order.
-  bool adaptive_gvt = true;
   // GVT algorithm (Time Warp only). Barrier: the original two-barrier
   // stop-the-world reduction, kept as the reference oracle. Epoch: a
   // Mattern-style asynchronous epoch protocol — PEs keep executing while
   // per-PE LVT minima and send/recv counts reduce through relaxed-atomic
   // epoch slots; transient messages are accounted by tagging envelopes with
   // the sender's epoch, and the epoch closes (committing exactly the same
-  // rounds: fossil, flow window, migration, checkpoint, monitor) only once
-  // every epoch-e send has been matched by a receive. Committed results are
-  // bit-identical in either mode — GVT timing affects only commit latency
-  // and memory, never event order. See docs/GVT.md.
+  // rounds: fossil, optimism control, migration, checkpoint, monitor) only
+  // once every epoch-e send has been matched by a receive. Committed results
+  // are bit-identical in either mode — GVT timing affects only commit
+  // latency and memory, never event order. See docs/GVT.md.
   enum class GvtMode : std::uint8_t { Barrier, Epoch };
   GvtMode gvt_mode = GvtMode::Barrier;
   // Ablation: roll back by restoring pre-event state snapshots instead of
@@ -80,17 +77,17 @@ struct EngineConfig {
   // ts <= GVT + window. Infinite reproduces pure Time Warp; a few model time
   // steps tames rollback thrash when PEs are badly co-paced (e.g. more PEs
   // than cores, so one thread races ahead while others are descheduled).
+  // Also the ceiling of the flow-control throttle window below.
   Time optimism_window = kTimeInf;
   // Optimism flow control (Time Warp only): per-PE budget of *live* event
   // envelopes (EventPool::live()). 0 disables. A PE crossing the soft
-  // watermark (pool_soft_fraction * budget) enters a throttle window that
-  // caps forward progress to gvt + an adaptively shrinking window; crossing
-  // the hard watermark (budget minus a small reserve) blocks optimistic
+  // watermark (half the budget) enters a throttle window that caps forward
+  // progress to gvt + a window steered by its commit yield; crossing the
+  // hard watermark (budget minus a small reserve) blocks optimistic
   // execution entirely — only events at ts <= GVT run — and forces a GVT
   // round. Degradation, never abort; committed results are bit-identical
   // with any budget (throttling only delays execution).
   std::uint64_t pool_budget_envelopes = 0;
-  double pool_soft_fraction = 0.5;
   // Deterministic fault injection for the remote event path (Time Warp
   // only; disarmed by default). See des/fault.hpp.
   FaultPlan fault;

@@ -14,41 +14,6 @@
 namespace hp::des {
 
 namespace {
-// Fixed-mode idle threshold (adaptive_gvt = false), the historical default.
-constexpr std::uint32_t kIdleItersBeforeGvt = 256;
-
-// Adaptive pacing bounds. The effective per-PE interval floats in
-// [kGvtMinInterval, cfg.gvt_interval_events]; the idle trigger starts at
-// kIdleBackoffInit spins (fast termination / window advance) and doubles on
-// consecutive fruitless idle rounds up to kIdleBackoffMax (no barrier storm
-// while peers are busy).
-constexpr std::uint32_t kGvtMinInterval = 32;
-constexpr std::uint32_t kIdleBackoffInit = 64;
-constexpr std::uint32_t kIdleBackoffMax = 8192;
-
-// Commit-yield thresholds steering the effective interval: below kShrinkYield
-// the optimism was mostly wasted (shrink => commit/throttle sooner), above
-// kGrowYield the round was clean (stretch => fewer barriers). The shrink
-// threshold is deliberately low: mid-range yields (0.3-0.5) are ordinary
-// straggler churn that shorter rounds cannot fix — shrinking there only buys
-// barrier overhead. Only a collapse below 1/4 signals runaway optimism.
-constexpr double kShrinkYield = 0.25;
-constexpr double kGrowYield = 0.9;
-
-// Optimism flow-control tuning. The throttle window is
-// throttle_scale * EMA(per-round GVT advance); the scale halves when the
-// global rollback fraction over the last round exceeds kFlowWasteShrink (or
-// kFlowWasteOwn when one of this PE's own KPs is the round's top offender —
-// the PE most responsible throttles hardest) and doubles back on clean
-// rounds below kFlowWasteGrow, clamped to [kFlowScaleMin, kFlowScaleMax]
-// windows' worth of typical GVT progress.
-constexpr double kFlowWasteShrink = 0.5;
-constexpr double kFlowWasteOwn = 0.25;
-constexpr double kFlowWasteGrow = 0.1;
-constexpr double kFlowScaleMin = 0.25;
-constexpr double kFlowScaleMax = 8.0;
-constexpr double kFlowEmaAlpha = 0.25;
-
 // Fault injection: reorder scratch flushes at this many buffered positives.
 constexpr std::size_t kChaosReorderWindow = 8;
 
@@ -224,11 +189,9 @@ TimeWarpEngine::TimeWarpEngine(Model& model, EngineConfig cfg)
     pes_.push_back(std::make_unique<PeData>());
     pes_.back()->id = pe;
     pes_.back()->out.resize(cfg_.num_pes);
-    // Adaptive pacing starts at the ceiling and floats downward; the floor
-    // never exceeds the configured interval (tiny intervals stay exact).
-    pes_.back()->effective_gvt_interval = std::max(1u, cfg_.gvt_interval_events);
-    pes_.back()->idle_backoff =
-        cfg_.adaptive_gvt ? kIdleBackoffInit : kIdleItersBeforeGvt;
+    pes_.back()->opt =
+        OptimismController(cfg_.gvt_interval_events, cfg_.optimism_window,
+                           cfg_.pool_budget_envelopes);
   }
   // The live ownership table starts as a copy of the mapping; KP migration
   // is the only thing that ever rewrites it.
@@ -840,109 +803,42 @@ Event* TimeWarpEngine::next_event(PeData& pe) {
   }
   Event* ev = pe.pending.peek_min();
   if (ev == nullptr) return nullptr;
-  if (ev->key.ts > cfg_.end_time) return nullptr;
-  Time window = cfg_.optimism_window;
-  if (HP_UNLIKELY(flow_on_)) {
-    // Throttled: cap forward progress to gvt + the adaptive window.
-    // Blocked: window zero — only events at or below GVT execute, which
-    // stops every new optimistic send while still guaranteeing progress
-    // (the PE owning the global minimum can always run it). Both only
-    // *delay* execution, so committed results are unchanged.
-    if (pe.flow_state == PeData::FlowState::Blocked) {
-      window = 0.0;
-    } else if (pe.flow_state == PeData::FlowState::Throttled) {
-      window = std::min(window, pe.throttle_window);
-    }
-  }
-  if (window < kTimeInf &&
-      ev->key.ts > shared_gvt_.load(std::memory_order_relaxed) + window) {
-    return nullptr;  // beyond the moving window; wait for GVT to advance
-  }
+  // Beyond the end time or the controller's horizon (GVT + window, zero
+  // window when Blocked): wait for GVT to advance.
+  if (ev->key.ts > cfg_.end_time || !pe.opt.admits(ev->key.ts)) return nullptr;
   return pe.pending.pop_min();
 }
 
 void TimeWarpEngine::update_flow_control(PeData& pe) {
-  const std::int64_t live = pe.pool.live();
-  switch (pe.flow_state) {
-    case PeData::FlowState::Open:
-      if (HP_LIKELY(live < pool_soft_)) return;
-      pe.flow_state = PeData::FlowState::Throttled;
+  using Transition = OptimismController::Transition;
+  switch (pe.opt.flow_check(pe.pool.live())) {
+    case Transition::None:
+      return;
+    case Transition::Throttle:
       ++pe.metrics.at(Counter::ThrottleEntries);
-      pe.throttle_window = pe.throttle_scale * pe.gvt_delta_ema;
       if (tracing_) pe.throttle_begin_ns = obs::monotonic_ns();
-      break;
-    case PeData::FlowState::Throttled:
-      if (HP_UNLIKELY(live >= pool_hard_)) {
-        pe.flow_state = PeData::FlowState::Blocked;
-        wd_beacons_[pe.id].set_phase(BeaconPhase::Blocked);
-        ++pe.metrics.at(Counter::HardBlocks);
-        // Only fossil collection sheds live envelopes, so force a GVT round
-        // now instead of waiting for a progress/idle trigger. The same flag
-        // drives both algorithms: in barrier mode every PE parks in the next
-        // gvt_round; in epoch mode every PE cuts over at its next pump and
-        // the resulting close runs fossil — a blocked PE keeps pumping (it
-        // never parks), so the forced close cannot deadlock against it.
-        if (!gvt_request_.exchange(true, std::memory_order_relaxed)) {
-          ++pe.metrics.at(Counter::GvtPoolTriggers);
-        }
-      } else if (live < pool_soft_exit_) {
-        // Hysteresis: exit well below the entry mark so the state does not
-        // flap around the watermark.
-        pe.flow_state = PeData::FlowState::Open;
-        ++pe.metrics.at(Counter::ThrottleExits);
-        close_throttle_span(pe);
+      return;
+    case Transition::Block:
+      wd_beacons_[pe.id].set_phase(BeaconPhase::Blocked);
+      ++pe.metrics.at(Counter::HardBlocks);
+      // Only fossil collection sheds live envelopes, so force a GVT round
+      // now instead of waiting for a progress/idle trigger. The same flag
+      // drives both algorithms: in barrier mode every PE parks in the next
+      // gvt_round; in epoch mode every PE cuts over at its next pump and the
+      // resulting close runs fossil — a blocked PE keeps pumping (it never
+      // parks), so the forced close cannot deadlock against it.
+      if (!gvt_request_.exchange(true, std::memory_order_relaxed)) {
+        ++pe.metrics.at(Counter::GvtPoolTriggers);
       }
-      break;
-    case PeData::FlowState::Blocked:
-      if (live < pool_hard_) {
-        pe.flow_state = PeData::FlowState::Throttled;
-        wd_beacons_[pe.id].set_phase(BeaconPhase::Execute);
-      }
-      break;
+      return;
+    case Transition::Unblock:
+      wd_beacons_[pe.id].set_phase(BeaconPhase::Execute);
+      return;
+    case Transition::Reopen:
+      ++pe.metrics.at(Counter::ThrottleExits);
+      close_throttle_span(pe);
+      return;
   }
-}
-
-void TimeWarpEngine::update_flow_window(PeData& pe, Time gvt) {
-  // EMA of per-round GVT advance: the natural unit the throttle window
-  // scales (a window of S means "S rounds' worth of typical progress").
-  if (gvt < kTimeInf) {
-    const double delta = std::max(0.0, gvt - pe.flow_last_gvt);
-    pe.gvt_delta_ema = pe.gvt_delta_ema == 0.0
-                           ? delta
-                           : (1.0 - kFlowEmaAlpha) * pe.gvt_delta_ema +
-                                 kFlowEmaAlpha * delta;
-    pe.flow_last_gvt = gvt;
-  }
-  // Global efficiency + offender-pressure signal from the round slices
-  // (every PE published between barriers A and B; reading here, after
-  // barrier B, races with nothing — see the MonitorSlice comment).
-  std::uint64_t processed = 0;
-  std::uint64_t rolled = 0;
-  std::uint64_t top_events = 0;
-  std::uint32_t top_kp = 0;
-  bool has_top = false;
-  for (const MonitorSlice& sl : mon_slices_) {
-    processed += sl.processed;
-    rolled += sl.rolled_back;
-    if (sl.has_top && sl.top_kp_events > top_events) {
-      has_top = true;
-      top_kp = sl.top_kp;
-      top_events = sl.top_kp_events;
-    }
-  }
-  const std::uint64_t dproc = processed - pe.flow_prev_processed;
-  const std::uint64_t drb = rolled - pe.flow_prev_rolled_back;
-  pe.flow_prev_processed = processed;
-  pe.flow_prev_rolled_back = rolled;
-  const double waste =
-      dproc > 0 ? static_cast<double>(drb) / static_cast<double>(dproc) : 0.0;
-  const bool own_pressure = has_top && own_.pe_of_kp(top_kp) == pe.id;
-  if (waste > kFlowWasteShrink || (own_pressure && waste > kFlowWasteOwn)) {
-    pe.throttle_scale = std::max(kFlowScaleMin, pe.throttle_scale * 0.5);
-  } else if (waste < kFlowWasteGrow) {
-    pe.throttle_scale = std::min(kFlowScaleMax, pe.throttle_scale * 2.0);
-  }
-  pe.throttle_window = pe.throttle_scale * pe.gvt_delta_ema;
 }
 
 void TimeWarpEngine::close_throttle_span(PeData& pe) {
@@ -995,7 +891,6 @@ void TimeWarpEngine::process_one(PeData& pe, Event* ev) {
   // are dead for real now.
   if (ev->has_stale_children()) cancel_stale(pe, ev);
   ++pe.metrics.at(Counter::Processed);
-  ++pe.processed_since_gvt;
   // Candidate heat for the migration planner: per-KP forward executions
   // since the last decision round (each element touched only by the owner).
   if (HP_UNLIKELY(mig_on_)) ++kp_processed_[ev->kp];
@@ -1043,8 +938,8 @@ void TimeWarpEngine::publish_slice(PeData& pe, std::uint64_t inbox_depth) {
   sl.pool_live =
       static_cast<std::uint64_t>(std::max<std::int64_t>(0, pe.pool.live()));
   sl.pool_bytes = pe.pool.pool_bytes();
-  sl.throttled = pe.flow_state == PeData::FlowState::Throttled;
-  sl.blocked = pe.flow_state == PeData::FlowState::Blocked;
+  sl.throttled = pe.opt.flow() == OptimismController::FlowState::Throttled;
+  sl.blocked = pe.opt.flow() == OptimismController::FlowState::Blocked;
   if (HP_UNLIKELY(mig_on_)) {
     // Publish this PE's hottest owned KP since the previous decision round
     // so every PE can run the identical planner over the slices alone.
@@ -1124,25 +1019,6 @@ void TimeWarpEngine::commit_point(PeData& pe, Time gvt,
   }
   const std::uint64_t committed_delta =
       pe.metrics.at(Counter::Committed) - pe.committed_at_last_gvt;
-  if (cfg_.adaptive_gvt && pe.processed_since_gvt > 0) {
-    // Steer the effective interval by this round's commit yield: committed
-    // since the last round (fossil collection just ran) over forward
-    // executions since the last round. Yield can exceed 1 when older
-    // optimistic work finally commits; clamp before comparing.
-    const double yield_ratio =
-        std::min(1.0, static_cast<double>(committed_delta) /
-                          static_cast<double>(pe.processed_since_gvt));
-    const std::uint32_t floor_interval =
-        std::min(kGvtMinInterval, std::max(1u, cfg_.gvt_interval_events));
-    if (yield_ratio < kShrinkYield) {
-      pe.effective_gvt_interval =
-          std::max(floor_interval, pe.effective_gvt_interval / 2);
-    } else if (yield_ratio > kGrowYield) {
-      pe.effective_gvt_interval = std::min(
-          std::max(1u, cfg_.gvt_interval_events), pe.effective_gvt_interval * 2);
-    }
-  }
-  if (HP_UNLIKELY(flow_on_)) update_flow_window(pe, gvt);
   if (HP_UNLIKELY(chaos_) && stall_active(pe)) {
     ++pe.metrics.at(Counter::ChaosStallRounds);
   }
@@ -1178,7 +1054,7 @@ void TimeWarpEngine::commit_point(PeData& pe, Time gvt,
   const std::uint64_t now_ns = obs::monotonic_ns();
   obs::GvtRoundSample sample{
       pe.local_rounds, now_ns - epoch_ns_, gvt,
-      pe.processed_since_gvt, committed_delta, inbox_depth,
+      pe.opt.processed_since_commit(), committed_delta, inbox_depth,
       pe.pool.allocated(),
       static_cast<std::uint64_t>(std::max<std::int64_t>(0, pe.pool.live())),
       pe.id == 0 ? round_moves : 0, pe.pool.pool_bytes()};
@@ -1225,8 +1101,9 @@ void TimeWarpEngine::commit_point(PeData& pe, Time gvt,
   }
   ++pe.local_rounds;
   pe.committed_at_last_gvt = pe.metrics.at(Counter::Committed);
-  pe.processed_since_gvt = 0;
-  pe.idle_iters = 0;
+  // Pacing and the window step on this round's commit yield; the horizon
+  // moves to the new GVT.
+  pe.opt.commit(gvt, committed_delta);
   wd_beacons_[pe.id].set_phase(BeaconPhase::Execute);
 }
 
@@ -1844,34 +1721,23 @@ void TimeWarpEngine::run_pe(PeData& pe) {
       if (gvt_round(pe)) break;
       continue;
     }
-    // Optimism flow control: one signed compare per iteration while Open
-    // (the HP_LIKELY fast path inside), state transitions otherwise.
-    if (HP_UNLIKELY(flow_on_)) update_flow_control(pe);
+    // Optimism flow control: two compares per iteration while Open below
+    // the soft mark (always, with no budget), state transitions otherwise.
+    update_flow_control(pe);
     Event* ev = next_event(pe);
     if (ev == nullptr) {
       pe.probe.switch_to(Phase::Idle);
       ++pe.metrics.at(Counter::IdleSpins);
-      if (++pe.idle_iters >= pe.idle_backoff) {
+      if (pe.opt.idle_spin()) {
         gvt_request_.store(true, std::memory_order_relaxed);
         ++pe.metrics.at(Counter::GvtIdleTriggers);
-        pe.idle_iters = 0;
-        if (cfg_.adaptive_gvt) {
-          // Consecutive fruitless idle rounds back off exponentially; any
-          // executed event resets the trigger to its fast initial value.
-          pe.idle_backoff = std::min(pe.idle_backoff * 2, kIdleBackoffMax);
-        }
       }
       std::this_thread::yield();
       continue;
     }
     pe.probe.switch_to(Phase::Forward);
-    pe.idle_iters = 0;
-    if (cfg_.adaptive_gvt) pe.idle_backoff = kIdleBackoffInit;
     process_one(pe, ev);
-    const std::uint32_t interval = cfg_.adaptive_gvt
-                                       ? pe.effective_gvt_interval
-                                       : cfg_.gvt_interval_events;
-    if (pe.processed_since_gvt >= interval) {
+    if (pe.opt.processed()) {
       gvt_request_.store(true, std::memory_order_relaxed);
       ++pe.metrics.at(Counter::GvtProgressTriggers);
     }
@@ -1879,7 +1745,7 @@ void TimeWarpEngine::run_pe(PeData& pe) {
   // Free anything the fault injector still holds (all beyond end_time, or
   // GVT could not have terminated the run) and close an open throttle span.
   if (HP_UNLIKELY(chaos_)) chaos_release(pe, /*all=*/true);
-  if (HP_UNLIKELY(flow_on_)) close_throttle_span(pe);
+  close_throttle_span(pe);
   // Commit everything still on the processed deques (all have ts <= end).
   pe.probe.switch_to(Phase::Fossil);
   fossil_collect(pe, kTimeInf);
@@ -1937,22 +1803,11 @@ RunStats TimeWarpEngine::run() {
   tracing_ = tracing;
   trace_stamps_ = tracing && cfg_.obs.forensics;
   chaos_ = cfg_.fault.any();
-  flow_on_ = cfg_.pool_budget_envelopes > 0;
-  if (flow_on_) {
-    const auto budget = static_cast<std::int64_t>(cfg_.pool_budget_envelopes);
-    HP_ASSERT(budget >= 16, "pool_budget_envelopes=%lld is below the minimum "
-              "of 16 envelopes per PE",
-              static_cast<long long>(budget));
-    const double frac = std::clamp(cfg_.pool_soft_fraction, 0.05, 0.95);
-    pool_soft_ = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(frac * static_cast<double>(budget)));
-    pool_soft_exit_ = (pool_soft_ * 3) / 4;
-    // The reserve between the block trigger and the budget absorbs the
-    // allocations a blocked PE cannot refuse: anti bursts from rollbacks and
-    // the children of the at-GVT events it still executes.
-    const std::int64_t reserve = std::clamp<std::int64_t>(budget / 4, 4, 4096);
-    pool_hard_ = std::max(pool_soft_ + 1, budget - reserve);
-  }
+  HP_ASSERT(cfg_.pool_budget_envelopes == 0 ||
+                cfg_.pool_budget_envelopes >= 16,
+            "pool_budget_envelopes=%llu is below the minimum of 16 envelopes "
+            "per PE",
+            static_cast<unsigned long long>(cfg_.pool_budget_envelopes));
   if (chaos_) {
     HP_ASSERT(cfg_.fault.stall_rounds == 0 ||
                   cfg_.fault.stall_pe == FaultPlan::kNoStallPe ||
@@ -1999,7 +1854,7 @@ RunStats TimeWarpEngine::run() {
     ck_next_ = (ck_base_committed_ / cfg_.checkpoint.every + 1) *
                cfg_.checkpoint.every;
   }
-  slices_on_ = cfg_.obs.monitor || flow_on_ || mig_on_ || telemetry_ || ck_on_;
+  slices_on_ = cfg_.obs.monitor || mig_on_ || telemetry_ || ck_on_;
   epoch_mode_ = cfg_.gvt_mode == EngineConfig::GvtMode::Epoch;
   if (epoch_mode_) {
     // Value-initialization runs the slot initializers: crossed = 1 (every PE

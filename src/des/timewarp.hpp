@@ -37,12 +37,11 @@
 // global minimum, fossil-collects its own KPs and resumes. Termination when
 // GVT exceeds the end time.
 //
-// GVT pacing is adaptive by default (EngineConfig::adaptive_gvt): each PE
-// floats an effective interval in [kGvtMinInterval, gvt_interval_events]
-// scaled by the previous round's commit yield, and an idle PE requests GVT
-// after an exponentially backed-off spin count (fast termination detection
-// without barrier storms). adaptive_gvt=false restores the fixed
-// gvt_interval_events / 256-spin thresholds.
+// Optimism is limited by one per-PE controller (des/optimism.hpp): it floats
+// the effective GVT interval below gvt_interval_events on the round's commit
+// yield, backs off idle GVT requests exponentially, runs the pool-budget
+// Open/Throttled/Blocked state and keeps the horizon (GVT + window) that
+// next_event compares against.
 
 #include <array>
 #include <atomic>
@@ -56,6 +55,7 @@
 #include "des/event.hpp"
 #include "des/ladder_queue.hpp"
 #include "des/model.hpp"
+#include "des/optimism.hpp"
 #include "net/mapping.hpp"
 #include "obs/forensics.hpp"
 #include "obs/monitor.hpp"
@@ -116,12 +116,9 @@ class TimeWarpEngine final : public Engine {
     std::vector<OutBatch> out;
     std::vector<std::uint32_t> out_dirty;
 
-    // Adaptive pacing state.
-    std::uint32_t effective_gvt_interval = 0;  // set from cfg at run start
-    std::uint32_t idle_backoff = 0;            // current idle-trigger bound
+    // GVT pacing, pool-budget flow state and the execution horizon.
+    OptimismController opt;
     std::uint64_t committed_at_last_gvt = 0;
-    std::uint64_t processed_since_gvt = 0;
-    std::uint32_t idle_iters = 0;
 
     // Observability: named counters + per-phase wall time (the scheduler
     // loop talks to `probe`, which charges `metrics` and records spans into
@@ -133,6 +130,7 @@ class TimeWarpEngine final : public Engine {
     obs::TraceBuffer trace;
     obs::GvtSeriesRing series;
     std::uint64_t local_rounds = 0;
+    std::uint64_t throttle_begin_ns = 0;  // open Throttled span (tracing only)
 
     // Rollback forensics: the per-KP heatmaps this PE accumulates, the
     // cascade context (chain length of the rollback episode currently
@@ -141,22 +139,6 @@ class TimeWarpEngine final : public Engine {
     obs::RollbackForensics forensics;
     std::uint32_t cascade_ctx = 0;
     std::uint64_t flow_counter = 0;
-
-    // Optimism flow control (active only when a pool budget is configured).
-    // The state machine is Open -> Throttled (soft watermark) -> Blocked
-    // (hard watermark) with hysteresis on the way back down; see
-    // update_flow_control. throttle_window is the current cap on forward
-    // progress above GVT; throttle_scale * gvt_delta_ema derives it, steered
-    // each round by the global efficiency signal read from the round slices.
-    enum class FlowState : std::uint8_t { Open, Throttled, Blocked };
-    FlowState flow_state = FlowState::Open;
-    Time throttle_window = 0.0;
-    double throttle_scale = 1.0;
-    double gvt_delta_ema = 0.0;     // EMA of per-round GVT advance
-    Time flow_last_gvt = 0.0;
-    std::uint64_t flow_prev_processed = 0;    // slice sums at last round
-    std::uint64_t flow_prev_rolled_back = 0;
-    std::uint64_t throttle_begin_ns = 0;      // open trace span (tracing only)
 
     // Deterministic fault injection (active only when cfg.fault.any()).
     // chaos_rng drives drain-shaped decisions (reorder/batch-split);
@@ -219,11 +201,11 @@ class TimeWarpEngine final : public Engine {
   };
 
   // One cache line per PE of per-round state, written between GVT barriers A
-  // and B and read after barrier B — by PE 0 for the monitor heartbeat, and
-  // by every PE for the flow-control efficiency signal. The reads race with
-  // nothing: a writer only touches its slice after the *next* barrier A,
-  // which cannot complete until every reader has finished the current round
-  // and arrived at it.
+  // and B and read after barrier B — by PE 0 for the monitor heartbeat and
+  // gauges, and by every PE for the checkpoint trigger and the migration
+  // planner. The reads race with nothing: a writer only touches its slice
+  // after the *next* barrier A, which cannot complete until every reader has
+  // finished the current round and arrived at it.
   struct alignas(64) MonitorSlice {
     std::uint64_t processed = 0;    // cumulative forward executions
     std::uint64_t rolled_back = 0;  // cumulative events undone
@@ -312,11 +294,11 @@ class TimeWarpEngine final : public Engine {
   // The one commit point both GVT modes reach with a new GVT: reached by
   // every PE from gvt_round after barrier B, and from
   // epoch_close_bookkeeping for every won close in order. Runs fossil
-  // collection, the progress beacon, adaptive-interval steering, the flow
-  // window, the chaos stall counter, the checkpoint and migration rounds,
-  // the GvtRoundSample push, PE 0's monitor record and gauges, and the
-  // per-round resets. `inbox_depth` is the observed inbox depth (0 at epoch
-  // cuts, which cannot walk the inbox).
+  // collection, the progress beacon, the chaos stall counter, the
+  // checkpoint and migration rounds, the GvtRoundSample push, PE 0's monitor
+  // record and gauges, and last the optimism controller's commit step
+  // (interval, window, horizon). `inbox_depth` is the observed inbox depth
+  // (0 at epoch cuts, which cannot walk the inbox).
   void commit_point(PeData& pe, Time gvt, std::uint64_t inbox_depth);
   // Engine-global side effects of a new GVT (round count, shared GVT,
   // watchdog heart), taken by one PE per round in either mode.
@@ -365,11 +347,10 @@ class TimeWarpEngine final : public Engine {
   void fossil_collect(PeData& pe, Time gvt);
   Event* next_event(PeData& pe);
   void seed_initial_events();
-  // Optimism flow control: per-iteration watermark check (Open <-> Throttled
-  // <-> Blocked transitions), and the per-GVT-round window adaptation that
-  // reads the round slices' efficiency signal.
+  // Per-iteration flow check: steps the controller on the PE's live
+  // envelopes and takes the side effects of a transition (counters, beacon
+  // phase, throttle trace span, the forced GVT round of a hard block).
   void update_flow_control(PeData& pe);
-  void update_flow_window(PeData& pe, Time gvt);
   void close_throttle_span(PeData& pe);
 
   Model& model_;
@@ -427,19 +408,10 @@ class TimeWarpEngine final : public Engine {
   bool telemetry_ = false;
   std::unique_ptr<obs::TelemetryHub> hub_;
 
-  // Optimism flow control (pool_budget_envelopes > 0). Watermarks over a
-  // PE's own EventPool::live(): soft = pool_soft_fraction * budget enters
-  // the throttle; hard = budget - reserve blocks optimistic execution (the
-  // reserve absorbs the allocations a rollback's anti burst can demand while
-  // blocked, keeping peak_live <= budget); exit hysteresis at 3/4 soft.
-  bool flow_on_ = false;
-  std::int64_t pool_soft_ = 0;
-  std::int64_t pool_soft_exit_ = 0;
-  std::int64_t pool_hard_ = 0;
-
   // Fault injection (cfg.fault.any()); one predictable branch when false.
   bool chaos_ = false;
-  // Round slices are live when the monitor or flow control needs them.
+  // Round slices are live when the monitor, telemetry gauges, migration or
+  // checkpointing needs them.
   bool slices_on_ = false;
 
   // Dynamic KP migration (cfg.migration.enabled && num_pes > 1). The per-KP

@@ -227,7 +227,7 @@ void Watchdog::poll_loop(std::stop_token st) {
       char reason[128];
       std::snprintf(reason, sizeof(reason),
                     "no GVT or commit progress for %lld ms (stall watchdog)",
-                    flat);
+                    static_cast<long long>(flat));
       dump_stall_diagnostics(reason, scope_);
       // _Exit: the run is wedged — destructors could block on the same
       // barrier the PEs are stuck in. The distinct code lets a harness

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "core/simulation.hpp"
@@ -113,6 +114,13 @@ struct ChaosKnobs {
   ChaosCase fault;
   EngineConfig::GvtMode gvt;
 };
+
+// gtest appends the printed parameter to every ctest name. Print the case,
+// not the default byte dump (which embeds string-literal addresses), so the
+// names are the same in every build.
+void PrintTo(const ChaosKnobs& k, std::ostream* os) {
+  *os << k.fault.name << '/' << gvt_mode_name(k.gvt);
+}
 
 class ChaosMatrix : public ::testing::TestWithParam<ChaosKnobs> {};
 

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -541,6 +542,9 @@ struct ConservationCase {
   bool migrate;
 };
 
+// Stable ctest names: print the case name, not a byte dump of pointers.
+void PrintTo(const ConservationCase& c, std::ostream* os) { *os << c.name; }
+
 class EnvelopeConservation
     : public ::testing::TestWithParam<ConservationCase> {};
 
@@ -568,11 +572,15 @@ TEST_P(EnvelopeConservation, CheckpointRestoreRunsStayBitIdentical) {
   std::unique_ptr<Engine> tw = make_engine(EngineKind::TimeWarp, mt, ec);
   const RunStats stats = tw->run();
   EXPECT_EQ(PholdModel::digest(*seq), PholdModel::digest(*tw));
-  if (c.lazy) EXPECT_GT(stats.metrics.total.at(Counter::LazyReused), 0u);
+  if (c.lazy) {
+    EXPECT_GT(stats.metrics.total.at(Counter::LazyReused), 0u);
+  }
   if (c.chaos) {
     EXPECT_GT(stats.metrics.total.at(Counter::ChaosDupAntis), 0u);
   }
-  if (c.migrate) EXPECT_GT(stats.metrics.total.at(Counter::Migrations), 0u);
+  if (c.migrate) {
+    EXPECT_GT(stats.metrics.total.at(Counter::Migrations), 0u);
+  }
   expect_restore_identity(EngineKind::TimeWarp, EngineKind::TimeWarp, ec,
                           4000, std::string("conserve_") + c.name);
 }

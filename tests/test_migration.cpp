@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -367,6 +368,9 @@ struct MigChaosKnobs {
   const char* chaos;  // nullptr = fault-free
   EngineConfig::GvtMode gvt;
 };
+
+// Stable ctest names: print the case name, not a byte dump of pointers.
+void PrintTo(const MigChaosKnobs& k, std::ostream* os) { *os << k.name; }
 
 class MigrationMatrix : public ::testing::TestWithParam<MigChaosKnobs> {};
 

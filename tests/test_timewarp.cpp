@@ -274,7 +274,10 @@ TEST(TimeWarpEngine, TinyOptimismWindowStillCompletes) {
   cfg.optimism_window = 0.5;  // barely wider than the lookahead
   TimeWarpEngine tw(model, cfg);
   const RunStats t = tw.run();
-  SequentialEngine seq(model, EngineConfig{.num_lps = 16, .end_time = 40.0});
+  EngineConfig seq_cfg;
+  seq_cfg.num_lps = 16;
+  seq_cfg.end_time = 40.0;
+  SequentialEngine seq(model, seq_cfg);
   const RunStats s = seq.run();
   EXPECT_EQ(t.committed_events(), s.committed_events());
   EXPECT_GT(t.gvt_rounds(), 10u) << "a tight window forces many GVT rounds";

@@ -155,19 +155,6 @@ inline bool apply_migration_flags(const util::Cli& cli,
   return cfg.migration.enabled;
 }
 
-// Applies the shared --gvt=<spec> flag (GVT algorithm selection for Time
-// Warp runs; see des/engine.hpp parse_gvt_spec for the grammar:
-// mode=<barrier|epoch>[,interval=N]). A malformed spec is a usage error.
-// The flag is harmless on non-Time-Warp kernels (sequential and
-// conservative engines have no GVT).
-inline void apply_gvt_flags(const util::Cli& cli, des::EngineConfig& cfg) {
-  if (!cli.has("gvt")) return;
-  std::string err;
-  if (!des::parse_gvt_spec(cli.get("gvt", ""), cfg, err)) {
-    cli.usage_error("--gvt: " + err);
-  }
-}
-
 // Applies the shared --fc=<spec> flag (buffered flow-control scheme
 // selection; see buffered/flow_control.hpp for the grammar). A malformed
 // spec is a usage error.
@@ -253,8 +240,6 @@ inline std::map<std::string, std::string> common_flags() {
                     "delay:p=0.2,k=2;seed=7 (see des/fault.hpp)"},
           {"migrate", "runtime KP load balancing for Time Warp runs, e.g. "
                       "every=8,imbalance=1.5,max=1 (see des/migration.hpp)"},
-          {"gvt", "GVT algorithm for Time Warp runs, e.g. "
-                  "mode=epoch[,interval=N] (see docs/GVT.md)"},
           {"fc", "buffered flow-control scheme for contrast runs, e.g. "
                  "scheme=wormhole,qcap=4,flit=4,credit_delay=1 (see "
                  "buffered/flow_control.hpp)"},

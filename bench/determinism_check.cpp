@@ -58,19 +58,6 @@ int main(int argc, char** argv) {
                 mig_probe.migration.to_string().c_str());
   }
 
-  // GVT algorithm matrix: by default every Time Warp configuration is
-  // verified under BOTH the barrier and the asynchronous epoch algorithm —
-  // GVT timing must never change committed state (docs/GVT.md). An explicit
-  // --gvt=mode=... narrows the matrix to that one mode (and can also pin
-  // the interval).
-  hp::des::EngineConfig gvt_probe;
-  const bool gvt_flag = cli.has("gvt");
-  if (gvt_flag) hp::bench::apply_gvt_flags(cli, gvt_probe);
-  const std::vector<hp::des::EngineConfig::GvtMode> gvt_modes =
-      gvt_flag ? std::vector{gvt_probe.gvt_mode}
-               : std::vector{hp::des::EngineConfig::GvtMode::Barrier,
-                             hp::des::EngineConfig::GvtMode::Epoch};
-
   std::printf("Attachment 3: repeatability check, %dx%d torus, 75%% "
               "injectors, %u steps, seed %llu\n\n",
               n, n, base.model.steps,
@@ -80,45 +67,38 @@ int main(int argc, char** argv) {
   print_report("sequential", seq);
 
   bool all_identical = true;
-  for (const hp::des::EngineConfig::GvtMode mode : gvt_modes) {
-    for (const std::uint32_t pes : {1u, 2u, 4u}) {
-      auto o = hp::bench::tw_options(n, 0.75, pes, 64);
-      o.model.steps = base.model.steps;
-      o.engine.seed = seed;
-      o.engine.gvt_mode = mode;
-      if (gvt_flag) {
-        o.engine.gvt_interval_events = gvt_probe.gvt_interval_events;
+  for (const std::uint32_t pes : {1u, 2u, 4u}) {
+    auto o = hp::bench::tw_options(n, 0.75, pes, 64);
+    o.model.steps = base.model.steps;
+    o.engine.seed = seed;
+    if (chaos) {
+      auto plan = chaos_probe.fault;
+      if (plan.stall_pe != hp::des::FaultPlan::kNoStallPe &&
+          plan.stall_pe >= pes) {
+        // The stall target does not exist at this PE count; disarm the
+        // stall clause but keep the rest of the plan.
+        plan.stall_pe = hp::des::FaultPlan::kNoStallPe;
+        plan.stall_rounds = 0;
       }
-      if (chaos) {
-        auto plan = chaos_probe.fault;
-        if (plan.stall_pe != hp::des::FaultPlan::kNoStallPe &&
-            plan.stall_pe >= pes) {
-          // The stall target does not exist at this PE count; disarm the
-          // stall clause but keep the rest of the plan.
-          plan.stall_pe = hp::des::FaultPlan::kNoStallPe;
-          plan.stall_rounds = 0;
-        }
-        o.engine.fault = plan;
-      }
-      if (migrate) o.engine.migration = mig_probe.migration;
-      hp::bench::apply_monitor_flags(cli, o.engine);
-      // Telemetry stamps must never perturb committed state: the stamped
-      // Time Warp runs still have to verify IDENTICAL against the unstamped
-      // sequential reference.
-      hp::bench::apply_telemetry_flags(cli, o.engine);
-      const auto tw = hp::core::run_hotpotato(o);
-      char tag[64];
-      std::snprintf(tag, sizeof(tag), "timewarp %u PE(s) %s", pes,
-                    hp::des::gvt_mode_name(mode));
-      print_report(tag, tw);
-      // Whole-channel comparison: every named model metric (including the
-      // double sums and the delivery histogram) bit-for-bit, plus the typed
-      // report view derived from it.
-      const bool same = tw.model == seq.model && tw.report == seq.report;
-      all_identical = all_identical && same;
-      std::printf("%-22s   -> statistics %s\n", "",
-                  same ? "IDENTICAL to sequential" : "DIFFER (BUG)");
+      o.engine.fault = plan;
     }
+    if (migrate) o.engine.migration = mig_probe.migration;
+    hp::bench::apply_monitor_flags(cli, o.engine);
+    // Telemetry stamps must never perturb committed state: the stamped
+    // Time Warp runs still have to verify IDENTICAL against the unstamped
+    // sequential reference.
+    hp::bench::apply_telemetry_flags(cli, o.engine);
+    const auto tw = hp::core::run_hotpotato(o);
+    char tag[64];
+    std::snprintf(tag, sizeof(tag), "timewarp %u PE(s)", pes);
+    print_report(tag, tw);
+    // Whole-channel comparison: every named model metric (including the
+    // double sums and the delivery histogram) bit-for-bit, plus the typed
+    // report view derived from it.
+    const bool same = tw.model == seq.model && tw.report == seq.report;
+    all_identical = all_identical && same;
+    std::printf("%-22s   -> statistics %s\n", "",
+                same ? "IDENTICAL to sequential" : "DIFFER (BUG)");
   }
   // Buffered flow-control runs ride the same whole-channel comparison: a
   // repeated run of every scheme must reproduce its ModelChannel (and the
@@ -146,15 +126,10 @@ int main(int argc, char** argv) {
                 same ? "IDENTICAL" : "DIFFERS (BUG)");
   }
 
-  // Repeatability of the parallel run itself, under the epoch algorithm —
-  // its closes are raced by all PEs, so a repeated run is the sharper test
-  // (an explicit --gvt pins the mode instead).
+  // Repeatability of the parallel run itself.
   auto o = hp::bench::tw_options(n, 0.75, 4, 64);
   o.model.steps = base.model.steps;
   o.engine.seed = seed;
-  o.engine.gvt_mode = gvt_flag ? gvt_probe.gvt_mode
-                               : hp::des::EngineConfig::GvtMode::Epoch;
-  if (gvt_flag) o.engine.gvt_interval_events = gvt_probe.gvt_interval_events;
   if (chaos && (chaos_probe.fault.stall_pe == hp::des::FaultPlan::kNoStallPe ||
                 chaos_probe.fault.stall_pe < 4)) {
     o.engine.fault = chaos_probe.fault;

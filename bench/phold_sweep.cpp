@@ -21,26 +21,14 @@ int main(int argc, char** argv) {
   const std::uint32_t lps = full ? 1024 : 256;
   const double end = full ? 200.0 : 100.0;
 
-  // GVT algorithm matrix for the Time Warp rows: both algorithms by default
-  // (the barrier rows are the historical baseline, the epoch rows show the
-  // barrier phase collapsing); an explicit --gvt=mode=... narrows to one.
-  hp::des::EngineConfig gvt_probe;
-  const bool gvt_flag = cli.has("gvt");
-  if (gvt_flag) hp::bench::apply_gvt_flags(cli, gvt_probe);
-  const std::vector<hp::des::EngineConfig::GvtMode> gvt_modes =
-      gvt_flag ? std::vector{gvt_probe.gvt_mode}
-               : std::vector{hp::des::EngineConfig::GvtMode::Barrier,
-                             hp::des::EngineConfig::GvtMode::Epoch};
-
   hp::util::Table table({"remote_%", "lookahead", "kernel", "events_per_s",
                          "rolled_back", "efficiency", "gvt_rounds",
                          "avg_batch"});
   std::vector<hp::obs::MetricsReport> metrics;
   double best_seq = 0.0, best_tw = 0.0;
-  // Per-algorithm GVT phase time accumulated over every 4-PE run: the
-  // headline contrast perf-smoke tracks (the epoch algorithm's point is
-  // that the barrier wait collapses; see docs/GVT.md).
-  double barrier_phase_ns = 0.0, epoch_phase_ns = 0.0;
+  // GVT phase time accumulated over every 4-PE run, a headline perf-smoke
+  // tracks.
+  double gvt_phase_ns = 0.0;
   for (const double remote : {0.0, 0.1, 0.5, 1.0}) {
     for (const double lookahead : {0.5, 0.05}) {
       hp::des::PholdConfig pc;
@@ -69,61 +57,45 @@ int main(int argc, char** argv) {
         best_seq = std::max(best_seq, s.event_rate());
         metrics.push_back(std::move(s.metrics));
       }
-      for (const hp::des::EngineConfig::GvtMode mode : gvt_modes) {
-        for (const std::uint32_t pes : {2u, 4u}) {
-          auto tc = ec;
-          tc.num_pes = pes;
-          tc.num_kps = 32;
-          tc.gvt_interval_events = 1024;
-          tc.gvt_mode = mode;
-          if (gvt_flag) tc.gvt_interval_events = gvt_probe.gvt_interval_events;
-          tc.optimism_window = 10.0 * pc.mean_delay;
-          hp::des::PholdModel model(pc);
-          hp::des::TimeWarpEngine tw(model, tc);
-          auto t = tw.run();
-          const bool epoch =
-              mode == hp::des::EngineConfig::GvtMode::Epoch;
-          if (!hp::bench::same_workload(
-                  "phold_sweep",
-                  "remote=" + std::to_string(remote) + " lookahead=" +
-                      std::to_string(lookahead) + " " + std::to_string(pes) +
-                      "pe " + hp::des::gvt_mode_name(mode) + " row",
-                  t.committed_events(), seq_committed,
-                  hp::des::PholdModel::digest(tw) == seq_digest)) {
-            return 1;
-          }
-          // Barrier rows keep the historical kernel label so committed
-          // baselines stay comparable; epoch rows are tagged explicitly.
-          table.add_row({100.0 * remote, lookahead,
-                         "timewarp-" + std::to_string(pes) + "pe" +
-                             (epoch ? "-epoch" : ""),
-                         t.event_rate(), t.rolled_back_events(),
-                         t.efficiency(), t.gvt_rounds(),
-                         t.avg_inbox_batch()});
-          best_tw = std::max(best_tw, t.event_rate());
-          if (pes == 4) {
-            const auto& m = t.metrics.total;
-            const double gvt_ns = static_cast<double>(
-                m.ns(hp::obs::Phase::GvtBarrier) +
-                m.ns(hp::obs::Phase::GvtEpoch));
-            (epoch ? epoch_phase_ns : barrier_phase_ns) += gvt_ns;
-          }
-          metrics.push_back(std::move(t.metrics));
+      for (const std::uint32_t pes : {2u, 4u}) {
+        auto tc = ec;
+        tc.num_pes = pes;
+        tc.num_kps = 32;
+        tc.gvt_interval_events = 1024;
+        tc.optimism_window = 10.0 * pc.mean_delay;
+        hp::des::PholdModel model(pc);
+        hp::des::TimeWarpEngine tw(model, tc);
+        auto t = tw.run();
+        if (!hp::bench::same_workload(
+                "phold_sweep",
+                "remote=" + std::to_string(remote) + " lookahead=" +
+                    std::to_string(lookahead) + " " + std::to_string(pes) +
+                    "pe row",
+                t.committed_events(), seq_committed,
+                hp::des::PholdModel::digest(tw) == seq_digest)) {
+          return 1;
         }
+        table.add_row({100.0 * remote, lookahead,
+                       "timewarp-" + std::to_string(pes) + "pe",
+                       t.event_rate(), t.rolled_back_events(), t.efficiency(),
+                       t.gvt_rounds(), t.avg_inbox_batch()});
+        best_tw = std::max(best_tw, t.event_rate());
+        if (pes == 4) {
+          gvt_phase_ns += static_cast<double>(
+              t.metrics.total.ns(hp::obs::Phase::GvtBarrier));
+        }
+        metrics.push_back(std::move(t.metrics));
       }
     }
   }
   // Best observed rates become the headline the perf-smoke CI job diffs
-  // against the committed BENCH_phold_sweep.json baseline. The *_phase_ns
-  // keys carry the 4-PE GVT phase time per algorithm (lower is better;
-  // perf_delta.py inverts the sign convention on the _ns suffix) — only
-  // present for algorithms the sweep actually ran.
-  std::map<std::string, double> headline = {
-      {"events_per_s", best_seq}, {"timewarp_events_per_s", best_tw}};
-  if (barrier_phase_ns > 0.0) {
-    headline["gvt_barrier_phase_ns"] = barrier_phase_ns;
-  }
-  if (epoch_phase_ns > 0.0) headline["gvt_epoch_phase_ns"] = epoch_phase_ns;
+  // against the committed BENCH_phold_sweep.json baseline.
+  // gvt_barrier_phase_ns is the 4-PE GVT phase time (lower is better;
+  // perf_delta.py inverts the sign convention on the _ns suffix).
+  const std::map<std::string, double> headline = {
+      {"events_per_s", best_seq},
+      {"timewarp_events_per_s", best_tw},
+      {"gvt_barrier_phase_ns", gvt_phase_ns}};
   hp::bench::finish(table, cli,
                     "PHOLD sweep: rollback pressure rises with remote "
                     "fraction and falls with lookahead",

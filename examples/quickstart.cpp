@@ -6,7 +6,6 @@
 //               [--trace=trace.json] [--monitor[=interval]]
 //               [--monitor-out=monitor.jsonl] [--chaos=spec]
 //               [--pool-budget=envelopes] [--migrate[=spec]]
-//               [--gvt=mode=barrier|epoch[,interval=N]]
 //               [--telemetry] [--metrics-endpoint=port|unix:path]
 //               [--metrics-out=metrics.prom]
 //
@@ -18,13 +17,11 @@
 // event path, e.g. --chaos="delay:p=0.2,k=2;stall:pe=1,rounds=4;seed=7" —
 // see des/fault.hpp for the grammar. Committed results are unchanged.
 // --pool-budget (Time Warp only) caps live event envelopes per PE; the
-// engine throttles optimism instead of aborting when memory runs short.
+// engine throttles optimism instead of aborting when memory runs short, and
+// the run prints its throttle entries, hard blocks and peak live envelopes.
 // --migrate (Time Warp only) arms runtime KP load balancing, e.g.
 // --migrate="every=8,imbalance=1.5,max=1" (bare --migrate uses those
 // defaults) — see des/migration.hpp. Committed results are unchanged.
-// --gvt (Time Warp only) selects the GVT algorithm, e.g.
-// --gvt=mode=epoch,interval=512 — see docs/GVT.md. Committed results are
-// bit-identical under either mode.
 // --telemetry records event-lifecycle latency histograms (queue dwell,
 // commit latency, rollback cost, inbox dwell); --metrics-endpoint serves
 // them live as Prometheus text on a loopback port or unix socket, and
@@ -55,8 +52,6 @@ int main(int argc, char** argv) {
                      {"pool-budget", "live-envelope budget per PE (0 = off)"},
                      {"migrate",
                       "KP load balancing, e.g. every=8,imbalance=1.5,max=1"},
-                     {"gvt",
-                      "GVT algorithm, e.g. mode=epoch[,interval=N]"},
                      {"telemetry", "record latency histograms"},
                      {"metrics-endpoint",
                       "serve Prometheus text on <port> or unix:<path>"},
@@ -137,15 +132,6 @@ int main(int argc, char** argv) {
       cli.usage_error("--migrate requires the Time Warp kernel (--pes > 1)");
     }
   }
-  if (cli.has("gvt")) {
-    std::string err;
-    if (!hp::des::parse_gvt_spec(cli.get("gvt", ""), opts.engine, err)) {
-      cli.usage_error("--gvt: " + err);
-    }
-    if (pes <= 1) {
-      cli.usage_error("--gvt requires the Time Warp kernel (--pes > 1)");
-    }
-  }
   if (cli.has("pool-budget")) {
     const auto budget = cli.get_int("pool-budget", 0);
     if (budget < 0 || (budget > 0 && budget < 16)) {
@@ -221,6 +207,16 @@ int main(int argc, char** argv) {
       std::printf("  top offender: KP %u caused %llu rolled-back events\n",
                   top.first, static_cast<unsigned long long>(top.second));
     }
+  }
+  if (opts.engine.pool_budget_envelopes > 0) {
+    const auto& total = result.engine.metrics.total;
+    std::printf("  flow control: %llu throttle entries, %llu hard blocks, "
+                "peak %llu live envelopes on one PE (budget %llu)\n",
+                static_cast<unsigned long long>(total.throttle_entries()),
+                static_cast<unsigned long long>(total.hard_blocks()),
+                static_cast<unsigned long long>(total.pool_peak_live()),
+                static_cast<unsigned long long>(
+                    opts.engine.pool_budget_envelopes));
   }
   if (result.engine.metrics.total.checkpoints_written() > 0) {
     std::printf("  checkpoints: %llu image(s) -> %s\n",

@@ -13,9 +13,6 @@ STEPS=${STEPS:-400}
 PES=${PES:-4}
 SEED=${SEED:-3}
 EVERY=${EVERY:-200000}
-# GVT algorithm for every run in the smoke (barrier|epoch): checkpoint
-# rounds anchor to epoch closes under mode=epoch, so CI runs both.
-GVT_MODE=${GVT_MODE:-barrier}
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
@@ -27,13 +24,12 @@ stats() { sed -n '2,8p' "$1"; }
 
 # Reference: the uninterrupted run.
 "$BIN" --n="$N" --steps="$STEPS" --pes="$PES" --seed="$SEED" \
-  --gvt=mode="$GVT_MODE" > "$WORK/ref.out"
+  > "$WORK/ref.out"
 stats "$WORK/ref.out" > "$WORK/ref.stats"
 
 # Victim: same run, writing images; SIGKILL it as soon as one image exists
 # so the kill lands mid-flight, not at the finish line.
 "$BIN" --n="$N" --steps="$STEPS" --pes="$PES" --seed="$SEED" \
-  --gvt=mode="$GVT_MODE" \
   --checkpoint=every="$EVERY",dir="$WORK/cks" > /dev/null 2>&1 &
 VICTIM=$!
 for _ in $(seq 1 400); do
@@ -50,7 +46,7 @@ echo "killed run $VICTIM with $(ls "$WORK/cks" | wc -l) image(s) on disk"
 
 # Restore from the latest surviving image and finish the run.
 "$BIN" --n="$N" --steps="$STEPS" --pes="$PES" --seed="$SEED" \
-  --gvt=mode="$GVT_MODE" --restore="$WORK/cks" > "$WORK/restored.out"
+  --restore="$WORK/cks" > "$WORK/restored.out"
 stats "$WORK/restored.out" > "$WORK/restored.stats"
 
 diff -u "$WORK/ref.stats" "$WORK/restored.stats"

@@ -1,81 +1,10 @@
 #include "des/engine.hpp"
 
-#include <cstdlib>
-
 #include "des/conservative.hpp"
 #include "des/sequential.hpp"
 #include "des/timewarp.hpp"
 
 namespace hp::des {
-
-namespace {
-
-std::string trim(const std::string& s) {
-  std::size_t b = s.find_first_not_of(" \t");
-  std::size_t e = s.find_last_not_of(" \t");
-  if (b == std::string::npos) return "";
-  return s.substr(b, e - b + 1);
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  // strtoull silently wraps a leading '-' into a huge value; reject it.
-  if (s.empty() || s[0] == '-' || s[0] == '+') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-}  // namespace
-
-bool parse_gvt_spec(const std::string& spec, EngineConfig& cfg,
-                    std::string& err) {
-  bool saw_mode = false;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string clause = trim(
-        spec.substr(pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos));
-    pos = comma == std::string::npos ? spec.size() + 1 : comma + 1;
-    if (clause.empty()) continue;
-    const std::size_t eq = clause.find('=');
-    if (eq == std::string::npos) {
-      err = "--gvt clause '" + clause + "' is not key=value";
-      return false;
-    }
-    const std::string key = trim(clause.substr(0, eq));
-    const std::string val = trim(clause.substr(eq + 1));
-    if (key == "mode") {
-      if (val == "barrier") {
-        cfg.gvt_mode = EngineConfig::GvtMode::Barrier;
-      } else if (val == "epoch") {
-        cfg.gvt_mode = EngineConfig::GvtMode::Epoch;
-      } else {
-        err = "--gvt mode must be 'barrier' or 'epoch', got '" + val + "'";
-        return false;
-      }
-      saw_mode = true;
-    } else if (key == "interval") {
-      std::uint64_t n = 0;
-      if (!parse_u64(val, n) || n == 0) {
-        err = "--gvt interval expects a positive integer, got '" + val + "'";
-        return false;
-      }
-      cfg.gvt_interval_events = static_cast<std::uint32_t>(n);
-    } else {
-      err = "--gvt unknown key '" + key + "'";
-      return false;
-    }
-  }
-  if (!saw_mode) {
-    err = "--gvt requires mode=<barrier|epoch>";
-    return false;
-  }
-  return true;
-}
 
 std::unique_ptr<Engine> make_engine(EngineKind kind, Model& model,
                                     const EngineConfig& cfg,

@@ -51,18 +51,6 @@ struct EngineConfig {
   // bit-identical at any pacing — GVT timing affects only commit latency and
   // memory, never event order.
   std::uint32_t gvt_interval_events = 4096;
-  // GVT algorithm (Time Warp only). Barrier: the original two-barrier
-  // stop-the-world reduction, kept as the reference oracle. Epoch: a
-  // Mattern-style asynchronous epoch protocol — PEs keep executing while
-  // per-PE LVT minima and send/recv counts reduce through relaxed-atomic
-  // epoch slots; transient messages are accounted by tagging envelopes with
-  // the sender's epoch, and the epoch closes (committing exactly the same
-  // rounds: fossil, optimism control, migration, checkpoint, monitor) only
-  // once every epoch-e send has been matched by a receive. Committed results
-  // are bit-identical in either mode — GVT timing affects only commit
-  // latency and memory, never event order. See docs/GVT.md.
-  enum class GvtMode : std::uint8_t { Barrier, Epoch };
-  GvtMode gvt_mode = GvtMode::Barrier;
   // Ablation: roll back by restoring pre-event state snapshots instead of
   // reverse computation (report Section 3.2.1 contrasts these).
   bool state_saving = false;
@@ -249,21 +237,5 @@ constexpr const char* kind_name(EngineKind k) noexcept {
 std::unique_ptr<Engine> make_engine(EngineKind kind, Model& model,
                                     const EngineConfig& cfg,
                                     Time conservative_lookahead = 0.0);
-
-// Parse the CLI `--gvt=mode=<barrier|epoch>[,interval=N]` spec into
-// cfg.gvt_mode / cfg.gvt_interval_events. Same contract as the other spec
-// parsers (WatchdogConfig::parse etc.): returns false with a message in
-// `err` on an unknown key, unknown mode, or non-positive interval; `mode=`
-// is required.
-bool parse_gvt_spec(const std::string& spec, EngineConfig& cfg,
-                    std::string& err);
-
-constexpr const char* gvt_mode_name(EngineConfig::GvtMode m) noexcept {
-  switch (m) {
-    case EngineConfig::GvtMode::Barrier: return "barrier";
-    case EngineConfig::GvtMode::Epoch: return "epoch";
-  }
-  __builtin_unreachable();
-}
 
 }  // namespace hp::des

@@ -118,10 +118,6 @@ struct Event : util::MpscNode {
   // the wall-clock stamp of the remote send, set only when tracing AND
   // forensics are on (it pairs the trace.json flow event); 0 otherwise.
   std::uint32_t cascade = 0;
-  // Epoch-GVT transient-message tag (EngineConfig::gvt_mode == Epoch): the
-  // sender's epoch number at stage time, so the receiver can credit the
-  // matching per-epoch receive counter. Barrier-mode runs leave it 0.
-  std::uint32_t epoch = 0;
   std::uint64_t send_wall_ns = 0;
   // Latency telemetry stamps (ObsConfig::telemetry; 0 when off, so a
   // telemetry-off run never reads the clock for them): wall-clock ns at
@@ -220,7 +216,6 @@ class EventPool {
     ev->payload_size = 0;
     ev->cv = 0;
     ev->cascade = 0;
-    ev->epoch = 0;
     ev->send_wall_ns = 0;
     // create_wall_ns / exec_wall_ns are deliberately NOT scrubbed: telemetry
     // reads them only in telemetry-on runs, where every read site follows a

@@ -282,18 +282,6 @@ void TimeWarpEngine::stage_remote(PeData& pe, std::uint32_t dst_pe,
   if (trace_stamps_ || HP_UNLIKELY(telemetry_)) {
     ev->send_wall_ns = obs::monotonic_ns();
   }
-  if (HP_UNLIKELY(epoch_mode_)) {
-    // Transient-message accounting: tag with the sender's current epoch and
-    // record the send in this epoch's running count/minimum (published into
-    // the EpochSlot at the next cut). Antis are counted too — conservative
-    // (an anti's key is its victim's, never below the sender's frontier) and
-    // required, since the receiver cannot tell tokens from positives when it
-    // credits the receive counter at pop time. Low 2 bits suffice at the
-    // receiver (epoch spread <= 1), so the u32 truncation is harmless.
-    ev->epoch = static_cast<std::uint32_t>(pe.local_epoch);
-    ++pe.cur_epoch_sent;
-    pe.cur_epoch_sendmin = std::min(pe.cur_epoch_sendmin, ev->key.ts);
-  }
   OutBatch& b = pe.out[dst_pe];
   ev->mpsc_next.store(nullptr, std::memory_order_relaxed);
   if (b.head == nullptr) {
@@ -583,13 +571,6 @@ void TimeWarpEngine::drain_inbox(PeData& pe) {
     return;
   }
   while (Event* ev = pe.inbox.pop()) {
-    if (HP_UNLIKELY(epoch_mode_)) {
-      // Credit the sender's epoch at the moment the envelope leaves the
-      // channel — before any annihilation/delivery side effects — so every
-      // send staged under tag e is eventually matched and epoch e can close.
-      ep_slots_[pe.id].recvd[ev->epoch & 3].fetch_add(
-          1, std::memory_order_relaxed);
-    }
     if (ev->is_anti) {
       Event* victim = ev->victim;
       const std::uint64_t uid = ev->uid;
@@ -614,22 +595,13 @@ void TimeWarpEngine::drain_inbox(PeData& pe) {
 //     acted on — antis flush the reorder buffer and check the holdback, and
 //     per-producer FIFO already orders the raw pops;
 //   * parked envelopes keep feeding the GVT minimum (held_min walks
-//     chaos_held in both GVT modes), so nothing can commit past a held event;
+//     chaos_held), so nothing can commit past a held event;
 //   * only delivery *timing* changes — event content and the model RNG
 //     streams are untouched, so committed results stay bit-identical.
 void TimeWarpEngine::drain_inbox_chaos(PeData& pe) {
   const FaultPlan& f = cfg_.fault;
   const Time gvt = shared_gvt_.load(std::memory_order_relaxed);
   while (Event* ev = pe.inbox.pop()) {
-    if (HP_UNLIKELY(epoch_mode_)) {
-      // Same pop-time credit as the fault-free drain. Envelopes the plan
-      // parks afterwards are already counted — correct, because a held
-      // envelope is out of the channel and bounds GVT through the holdback
-      // walk at the next cut instead. Dup-anti copies below are minted
-      // locally (never staged), so they never touch either counter.
-      ep_slots_[pe.id].recvd[ev->epoch & 3].fetch_add(
-          1, std::memory_order_relaxed);
-    }
     if (ev->is_anti) {
       // Antis never pass their positives: deliver buffered positives first.
       chaos_flush_run(pe);
@@ -822,11 +794,7 @@ void TimeWarpEngine::update_flow_control(PeData& pe) {
       wd_beacons_[pe.id].set_phase(BeaconPhase::Blocked);
       ++pe.metrics.at(Counter::HardBlocks);
       // Only fossil collection sheds live envelopes, so force a GVT round
-      // now instead of waiting for a progress/idle trigger. The same flag
-      // drives both algorithms: in barrier mode every PE parks in the next
-      // gvt_round; in epoch mode every PE cuts over at its next pump and the
-      // resulting close runs fossil — a blocked PE keeps pumping (it never
-      // parks), so the forced close cannot deadlock against it.
+      // now instead of waiting for a progress/idle trigger.
       if (!gvt_request_.exchange(true, std::memory_order_relaxed)) {
         ++pe.metrics.at(Counter::GvtPoolTriggers);
       }
@@ -919,12 +887,7 @@ void TimeWarpEngine::fossil_collect(PeData& pe, Time gvt) {
   }
 }
 
-// Fill this PE's MonitorSlice. Shared by both GVT algorithms; the modes
-// differ only in when the writes are safe — between barriers A and B in
-// barrier mode, at an epoch cut in epoch mode (where the close-serialization
-// ack gate keeps the slice stable until every close-side reader is done).
-// Epoch cuts pass inbox_depth 0: there is no quiescent point to walk the
-// inbox non-destructively, so the depth is simply not observed there.
+// Fill this PE's MonitorSlice, between barriers A and B of a GVT round.
 void TimeWarpEngine::publish_slice(PeData& pe, std::uint64_t inbox_depth) {
   MonitorSlice& sl = mon_slices_[pe.id];
   sl.processed = pe.metrics.at(Counter::Processed);
@@ -961,9 +924,8 @@ void TimeWarpEngine::publish_slice(PeData& pe, std::uint64_t inbox_depth) {
 // injector's holdback. Envelopes parked by the injector are invisible to the
 // pending set but must still bound GVT from below: a held positive (or a
 // duplicate anti) is in-flight work nothing may commit past. This is what
-// makes every fault plan delay-only. Both GVT modes reduce over it; what is
-// still in the channel is covered by barrier mode's inbox walk and by epoch
-// mode's send minimum.
+// makes every fault plan delay-only. What is still in the channel is
+// covered by gvt_round's inbox walk.
 Time TimeWarpEngine::held_min(PeData& pe) {
   Event* pmin = pe.pending.peek_min();
   Time local = pmin == nullptr ? kTimeInf : pmin->key.ts;
@@ -975,12 +937,11 @@ Time TimeWarpEngine::held_min(PeData& pe) {
   return local;
 }
 
-// Engine-global side effects of a new GVT, taken by exactly one PE per round
-// (PE 0 after barrier B; the close winner in epoch mode): the round count,
-// the shared GVT and the stall watchdog's progress heart. The heart's
-// committed count is slice-summed when slices are live, the caller's own
-// otherwise — any monotone proxy works, the watchdog only asks "did it
-// move". Both callers may read the slices here (see MonitorSlice).
+// Engine-global side effects of a new GVT, taken by PE 0 after barrier B:
+// the round count, the shared GVT and the stall watchdog's progress heart.
+// The heart's committed count is slice-summed when slices are live, PE 0's
+// own otherwise — any monotone proxy works, the watchdog only asks "did it
+// move". PE 0 may read the slices here (see MonitorSlice).
 void TimeWarpEngine::publish_gvt(PeData& pe, Time gvt) {
   const std::uint64_t rounds =
       gvt_rounds_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -1025,11 +986,7 @@ void TimeWarpEngine::commit_point(PeData& pe, Time gvt,
   // Checkpoint trigger: every input is identical on every PE — the global
   // gvt, the slice-summed committed count and ck_next_ (written only by PE 0
   // between checkpoint barriers) — so the branch is all-or-none and the
-  // barriers inside checkpoint_round always pair up. In epoch mode the PEs
-  // simply gather at those barriers from their own loops; traffic the
-  // quiesce loops move is tagged e+1 (every PE is in e+1 throughout, the ack
-  // gate holds e+2 shut) and drains pop-count as usual, so the next close's
-  // accounting stays balanced.
+  // barriers inside checkpoint_round always pair up.
   if (HP_UNLIKELY(ck_on_) && gvt <= cfg_.end_time) {
     std::uint64_t committed = ck_base_committed_;
     for (const MonitorSlice& sl : mon_slices_) committed += sl.committed;
@@ -1048,27 +1005,18 @@ void TimeWarpEngine::commit_point(PeData& pe, Time gvt,
   }
   // This PE's slice of the round sample; run() sums the slices per round.
   // Rounds are totally ordered and every PE applies every one, so
-  // local_rounds agrees across PEs and the rings stay index-aligned. The two
-  // epoch columns are PE-0 scoped in the merged series (not summed): wall
-  // time this epoch stayed open, and the close's latched in-flight peak.
+  // local_rounds agrees across PEs and the rings stay index-aligned.
   const std::uint64_t now_ns = obs::monotonic_ns();
-  obs::GvtRoundSample sample{
+  pe.series.push(obs::GvtRoundSample{
       pe.local_rounds, now_ns - epoch_ns_, gvt,
       pe.opt.processed_since_commit(), committed_delta, inbox_depth,
       pe.pool.allocated(),
       static_cast<std::uint64_t>(std::max<std::int64_t>(0, pe.pool.live())),
-      pe.id == 0 ? round_moves : 0, pe.pool.pool_bytes()};
-  if (epoch_mode_) {
-    sample.epoch_dur_ns =
-        now_ns - (pe.ep_last_close_ns == 0 ? epoch_ns_ : pe.ep_last_close_ns);
-    sample.in_flight = ep_inflight_last_.load(std::memory_order_relaxed);
-    pe.ep_last_close_ns = now_ns;
-  }
-  pe.series.push(sample);
+      pe.id == 0 ? round_moves : 0, pe.pool.pool_bytes()});
   if (pe.id == 0) {
     // PE 0 may read every slice until it reaches the next round's slice
-    // writes itself (barrier A, or the ack gate in epoch mode), so the
-    // heartbeat and the gauges follow the checkpoint and migration rounds.
+    // writes itself (barrier A), so the heartbeat and the gauges follow the
+    // checkpoint and migration rounds.
     if (monitor_ != nullptr &&
         ++mon_rounds_since_emit_ >= std::max(1u, cfg_.obs.monitor_interval)) {
       mon_rounds_since_emit_ = 0;
@@ -1091,11 +1039,6 @@ void TimeWarpEngine::commit_point(PeData& pe, Time gvt,
       g.gvt = gvt;
       g.round = pe.local_rounds;
       g.wall_seconds = static_cast<double>(now_ns - epoch_ns_) * 1e-9;
-      if (epoch_mode_) {
-        g.gvt_mode = 1;
-        g.epoch = pe.local_rounds + 1;
-        g.in_flight = sample.in_flight;
-      }
       hub_->publish_gauges(g);
     }
   }
@@ -1146,181 +1089,28 @@ bool TimeWarpEngine::gvt_round(PeData& pe) {
   return gvt > cfg_.end_time;
 }
 
-// ---------------------------------------------------------------------------
-// Epoch GVT (cfg.gvt_mode == Epoch; protocol narrative in docs/GVT.md).
-//
-// Mattern-style asynchronous rounds in place of the two barriers: PEs keep
-// executing optimistically the whole time. The gvt_request_ flag — set by
-// exactly the same interval / idle-backoff / pool-pressure triggers as
-// barrier mode — now means "cut over to the next epoch at your next loop
-// iteration" instead of "park at barrier A". At a cut a PE publishes its
-// reduction contribution for the epoch it is leaving (local minimum over
-// pending + chaos-held, count and minimum timestamp of its remote sends)
-// into its EpochSlot and moves on without waiting for anybody.
-//
-// Epoch e closes when (a) every PE has crossed past it, so all slot fields
-// for e are final, and (b) the global number of epoch-e sends equals the
-// global number of epoch-e receives — the transient-message condition; every
-// envelope carries its sender's epoch, and receivers credit the matching
-// counter the moment they pop it. Then
-//
-//   GVT_e = min over PEs of min(localmin_e, sendmin_e)
-//
-// is a valid GVT: anything a PE held at its cut is >= its localmin; anything
-// in flight is tag e (>= that sender's sendmin) or tag e+1 (whose sends are
-// bounded below by GVT_e by induction — a PE in e+1 only executes/sends at
-// or above what it held at its cut); and no tag <= e-1 survives (close of
-// e-1 required all of its sends matched). The closing PE CASes ep_closed_
-// forward and takes the global side effects; every PE then applies the
-// per-close bookkeeping (fossil, flow window, checkpoint/migration rounds,
-// series) from its own loop, in order, and acks. The ack gate — a PE may
-// enter epoch m only once close m-2 is fully acked — serializes closes,
-// bounds the cross-PE epoch spread to one (so a 4-slot receive ring and
-// single-buffered slots suffice), and keeps the monitor slices stable for
-// every close-side reader. GVT timing changes commit latency and memory,
-// never event order, so committed state is bit-identical to barrier mode.
-// ---------------------------------------------------------------------------
-
-bool TimeWarpEngine::epoch_pump(PeData& pe) {
-  // 1. Apply won closes in order. The acquire pairs with the winner's
-  // release CAS, publishing ep_gvt_bits_ and every slot/slice field behind
-  // it. Each close's bookkeeping can itself end the run.
-  std::uint64_t closed = ep_closed_.load(std::memory_order_acquire);
-  while (closed > pe.ep_done) {
-    if (epoch_close_bookkeeping(pe, pe.ep_done + 1)) return true;
-    closed = ep_closed_.load(std::memory_order_acquire);
-  }
-  // 2. Cut over when a round is requested and the ack gate allows entering
-  // epoch m = local+1 (close m-2 fully acked; trivially open for m <= 2).
-  // The gate includes this PE's own ack, so step 1 always runs first.
-  if (gvt_request_.load(std::memory_order_relaxed)) {
-    const std::uint64_t m = pe.local_epoch + 1;
-    if (m <= 2 || ep_acks_total_.load(std::memory_order_acquire) >=
-                      (m - 2) * cfg_.num_pes) {
-      epoch_cross(pe);
+// The GVT barrier guarantees everything sent is fully linked in some inbox,
+// but inboxes may be non-empty (the GVT walk is non-destructive) and
+// draining can roll back and send antis, so loop between barriers until a
+// full pass moves nothing anywhere. A PE votes for another pass when it
+// pushed anything or its inbox is still non-empty (a chaos batch-split can
+// abandon a drain mid-stream).
+template <class AfterDrain>
+void TimeWarpEngine::quiesce(PeData& pe, AfterDrain&& after_drain) {
+  while (true) {
+    bar_a_.arrive_and_wait();
+    if (pe.id == 0) quiesce_again_.store(false, std::memory_order_relaxed);
+    bar_b_.arrive_and_wait();
+    drain_inbox(pe);
+    after_drain();
+    const bool sent = !pe.out_dirty.empty();
+    flush_outboxes(pe);
+    if (sent || !pe.inbox.empty_hint()) {
+      quiesce_again_.store(true, std::memory_order_relaxed);
     }
+    bar_a_.arrive_and_wait();
+    if (!quiesce_again_.load(std::memory_order_relaxed)) break;
   }
-  // 3. Poll the close condition, throttled — only worth anything while an
-  // epoch older than this PE's own is still open (closing e needs every PE
-  // past it, this one included).
-  if (pe.local_epoch > ep_closed_.load(std::memory_order_relaxed) + 1 &&
-      ++pe.ep_poll >= 8) {
-    pe.ep_poll = 0;
-    try_close_epoch(pe);
-  }
-  return false;
-}
-
-void TimeWarpEngine::epoch_cross(PeData& pe) {
-  HP_ASSERT(pe.out_dirty.empty(),
-            "PE %u: outbound batches must be flushed before an epoch cut "
-            "(%zu dirty)",
-            pe.id, pe.out_dirty.size());
-  obs::PhaseScope phase(pe.probe, Phase::GvtEpoch);
-  EpochSlot& slot = ep_slots_[pe.id];
-  const std::uint64_t e = pe.local_epoch;
-  // No inbox walk — what is still in the channel is covered by its
-  // sender's sendmin/send count.
-  slot.localmin_bits.store(std::bit_cast<std::uint64_t>(held_min(pe)),
-                           std::memory_order_relaxed);
-  slot.sendmin_bits.store(std::bit_cast<std::uint64_t>(pe.cur_epoch_sendmin),
-                          std::memory_order_relaxed);
-  slot.sent.store(pe.cur_epoch_sent, std::memory_order_relaxed);
-  // Recycle the ring slot for tag e+3. It cannot be live: receiving tag e+3
-  // requires some PE in epoch e+3, which requires every PE past e+1 — but
-  // this PE is only now leaving e. Same-thread ordering (only the owner
-  // credits its own ring) makes the reset safe against its own later pops.
-  slot.recvd[(e + 3) & 3].store(0, std::memory_order_relaxed);
-  pe.cur_epoch_sent = 0;
-  pe.cur_epoch_sendmin = kTimeInf;
-  // The slice this close's readers (flow window, checkpoint trigger,
-  // migration planner, monitor) will consume; stable until the ack gate
-  // re-opens because the next overwrite is the cut into e+2.
-  if (slices_on_) publish_slice(pe, /*inbox_depth=*/0);
-  // Publish: every slot field for epoch e is final once crossed reads e+1.
-  slot.crossed.store(e + 1, std::memory_order_release);
-  pe.local_epoch = e + 1;
-  // Liveness tick for the stall watchdog: a long-but-progressing epoch
-  // keeps GVT and the committed count flat, but crossings keep happening.
-  wd_heart_.activity.fetch_add(1, std::memory_order_relaxed);
-}
-
-void TimeWarpEngine::try_close_epoch(PeData& pe) {
-  const std::uint64_t e = ep_closed_.load(std::memory_order_relaxed) + 1;
-  if (pe.local_epoch <= e) return;  // not past it ourselves yet
-  // (a) Every PE crossed past e? The acquire pairs with epoch_cross's
-  // release store, making all slot fields for epoch e visible and final.
-  for (std::uint32_t p = 0; p < cfg_.num_pes; ++p) {
-    if (ep_slots_[p].crossed.load(std::memory_order_acquire) < e + 1) return;
-  }
-  // (b) All epoch-e sends matched by receives? Relaxed sums are sound
-  // because both counters are monotone within the epoch and the send side
-  // is final: observed_recv <= true_recv <= true_sent == observed_sent, so
-  // observed equality implies true equality. On failure the gap (>= 0) is
-  // the in-flight envelope count — latch the peak for the obs series.
-  std::uint64_t sent = 0;
-  std::uint64_t recvd = 0;
-  Time g = kTimeInf;
-  for (std::uint32_t p = 0; p < cfg_.num_pes; ++p) {
-    EpochSlot& s = ep_slots_[p];
-    sent += s.sent.load(std::memory_order_relaxed);
-    recvd += s.recvd[e & 3].load(std::memory_order_relaxed);
-    g = std::min(g, std::bit_cast<Time>(
-                        s.localmin_bits.load(std::memory_order_relaxed)));
-    g = std::min(g, std::bit_cast<Time>(
-                        s.sendmin_bits.load(std::memory_order_relaxed)));
-  }
-  if (recvd != sent) {
-    const std::uint64_t gap = sent - recvd;
-    std::uint64_t cur = ep_inflight_peak_.load(std::memory_order_relaxed);
-    while (gap > cur && !ep_inflight_peak_.compare_exchange_weak(
-                            cur, gap, std::memory_order_relaxed)) {
-    }
-    return;
-  }
-  // Concurrent evaluators of the same epoch compute the identical g (the
-  // inputs are final), so racing stores agree; a single value slot suffices
-  // because the ack gate forbids evaluating e+1 until every PE read close e.
-  ep_gvt_bits_.store(std::bit_cast<std::uint64_t>(g),
-                     std::memory_order_relaxed);
-  std::uint64_t expect = e - 1;
-  if (!ep_closed_.compare_exchange_strong(expect, e, std::memory_order_release,
-                                          std::memory_order_relaxed)) {
-    return;  // somebody else won this close with the same g
-  }
-  // Winner-only global side effects, as PE 0 takes them between the
-  // barriers in gvt_round. The slices are readable here for the same reason
-  // bookkeeping may read them: every PE crossed (acquire above), and nobody
-  // overwrites before the acks complete.
-  publish_gvt(pe, g);
-  gvt_request_.store(false, std::memory_order_relaxed);
-  ++pe.metrics.at(Counter::GvtEpochCloses);
-  const std::uint64_t peak =
-      ep_inflight_peak_.exchange(0, std::memory_order_relaxed);
-  ep_inflight_last_.store(peak, std::memory_order_relaxed);
-  std::uint64_t& peak_metric = pe.metrics.at(Counter::GvtEpochInflightPeak);
-  peak_metric = std::max(peak_metric, peak);
-}
-
-bool TimeWarpEngine::epoch_close_bookkeeping(PeData& pe, std::uint64_t e) {
-  HP_ASSERT(pe.ep_done + 1 == e, "PE %u: close bookkeeping out of order "
-            "(done %llu, applying %llu)",
-            pe.id, static_cast<unsigned long long>(pe.ep_done),
-            static_cast<unsigned long long>(e));
-  obs::PhaseScope phase(pe.probe, Phase::GvtEpoch);
-  // The winner's release CAS on ep_closed_ (acquired by our caller) ordered
-  // this read after its ep_gvt_bits_ store; the single slot is stable until
-  // every PE acks this close, which includes us.
-  const Time gvt =
-      std::bit_cast<Time>(ep_gvt_bits_.load(std::memory_order_relaxed));
-  // Epoch cuts have no quiescent point to walk the inbox, so the observed
-  // inbox depth is 0.
-  commit_point(pe, gvt, /*inbox_depth=*/0);
-  pe.ep_done = e;
-  // Ack LAST (release): the cut into e+2 — which overwrites the slots and
-  // slices this close read — acquire-gates on the full ack count.
-  ep_acks_total_.fetch_add(1, std::memory_order_release);
-  return gvt > cfg_.end_time;
 }
 
 // Checkpoint at the GVT fence. Entered by every PE in the same round, after
@@ -1334,11 +1124,10 @@ bool TimeWarpEngine::epoch_close_bookkeeping(PeData& pe, std::uint64_t e) {
 //      machinery — reverse handlers, state-saving snapshots and lazy stale
 //      bookkeeping all behave exactly as they do for a straggler.
 //   2. Quiesce. The sweep's cancellations put anti tokens in flight, and a
-//      fault plan may still hold envelopes hostage. Loop (kill stale
-//      children in lazy mode, drain the inbox, force-deliver the holdback,
-//      flush) between barriers until a full round moves nothing — the same
-//      vote pattern as the migration handoff — then assert the fence
-//      invariant: processed deques empty, holdback empty.
+//      fault plan may still hold envelopes hostage. Run the quiesce loop,
+//      killing stale children in lazy mode and force-delivering the holdback
+//      after every drain, then assert the fence invariant: processed deques
+//      empty, holdback empty.
 //   3. Serialize. Each PE drains its pending set (key order) into its
 //      stage; PE 0, with every other PE parked at the barrier, captures the
 //      globally-indexed LP states/RNG cursors plus all staged events and
@@ -1364,10 +1153,7 @@ void TimeWarpEngine::checkpoint_round(PeData& pe, Time gvt) {
   }
   flush_outboxes(pe);
 
-  while (true) {
-    bar_a_.arrive_and_wait();
-    if (pe.id == 0) ck_again_.store(false, std::memory_order_relaxed);
-    bar_b_.arrive_and_wait();
+  quiesce(pe, [&] {
     if (cfg_.cancellation == EngineConfig::Cancellation::Lazy) {
       // Stale children are speculative sends of rolled-back executions kept
       // alive for reuse; they are not part of the state at the fence, so
@@ -1388,16 +1174,8 @@ void TimeWarpEngine::checkpoint_round(PeData& pe, Time gvt) {
         if (delivered_ref(owner, uid)) cancel_stale(pe, owner);
       }
     }
-    drain_inbox(pe);
     if (HP_UNLIKELY(chaos_)) chaos_deliver_all_held(pe);
-    const bool sent = !pe.out_dirty.empty();
-    flush_outboxes(pe);
-    if (sent || !pe.inbox.empty_hint()) {
-      ck_again_.store(true, std::memory_order_relaxed);
-    }
-    bar_a_.arrive_and_wait();
-    if (!ck_again_.load(std::memory_order_relaxed)) break;
-  }
+  });
 
   for (std::uint32_t kp_id : pe.kps) {
     HP_ASSERT(kps_[kp_id].processed.empty(),
@@ -1518,14 +1296,6 @@ void TimeWarpEngine::emit_monitor_record(std::uint64_t round_idx, Time gvt) {
     s.commit_latency_p99_us =
         hub_->quantile_us(obs::LatencyMetric::CommitLatency, 0.99);
   }
-  s.gvt_mode = gvt_mode_name(cfg_.gvt_mode);
-  if (epoch_mode_) {
-    // Epoch-mode emits happen from close bookkeeping, where round_idx is
-    // the closed epoch minus one; the in-flight count is the close's
-    // latched peak of unmatched sends.
-    s.epoch = round_idx + 1;
-    s.in_flight = ep_inflight_last_.load(std::memory_order_relaxed);
-  }
   monitor_->emit(s);
   mon_last_processed_ = processed;
   mon_last_rolled_back_ = rolled_back;
@@ -1541,11 +1311,9 @@ void TimeWarpEngine::emit_monitor_record(std::uint64_t round_idx, Time gvt) {
 //      of every PE's counters at the previous decision round — so all PEs
 //      compute an identical plan with no communication. An empty plan means
 //      no barriers at all this round.
-//   2. Quiesce. Loop (drain inboxes, flush what the drains staged) between
-//      barriers until a full round moves nothing anywhere: after that, no
-//      envelope is in flight — every positive is settled at its KP's
-//      current owner, which is what makes the live-table re-routing of
-//      later anti-messages sound.
+//   2. Quiesce. Run the quiesce loop: after it, no envelope is in flight —
+//      every positive is settled at its KP's current owner, which is what
+//      makes the live-table re-routing of later anti-messages sound.
 //   3. Extract / integrate. The source pulls the moved KP's pending events
 //      and chaos-held envelopes into a per-KP staging area; after a barrier
 //      the destination adopts them, flips the ownership entry (distinct KPs,
@@ -1590,25 +1358,7 @@ void TimeWarpEngine::do_migration_round(PeData& pe, Time gvt) {
 
   obs::PhaseScope phase(pe.probe, Phase::Migrate);
 
-  // Quiescence. The GVT barrier guarantees everything sent is fully linked
-  // in some inbox, but inboxes may be non-empty (the GVT walk is
-  // non-destructive) and draining can roll back and send antis, so loop
-  // until a full round moves nothing. A PE votes mig_again_ when it pushed
-  // anything or its inbox is still non-empty (a chaos batch-split can
-  // abandon a drain mid-stream).
-  while (true) {
-    bar_a_.arrive_and_wait();
-    if (pe.id == 0) mig_again_.store(false, std::memory_order_relaxed);
-    bar_b_.arrive_and_wait();
-    drain_inbox(pe);
-    const bool sent = !pe.out_dirty.empty();
-    flush_outboxes(pe);
-    if (sent || !pe.inbox.empty_hint()) {
-      mig_again_.store(true, std::memory_order_relaxed);
-    }
-    bar_a_.arrive_and_wait();
-    if (!mig_again_.load(std::memory_order_relaxed)) break;
-  }
+  quiesce(pe, [] {});
 
   // Extract. Pending events of the moving KPs leave the pending queue (one
   // pass that pops everything and re-inserts the stayers); processed events
@@ -1711,13 +1461,7 @@ void TimeWarpEngine::run_pe(PeData& pe) {
     // staged ever survives past this point, so gvt_round's quiescence
     // invariant holds by construction.
     flush_outboxes(pe);
-    if (HP_UNLIKELY(epoch_mode_)) {
-      // Asynchronous GVT: apply won closes, cut over if a round is
-      // requested, poll the close condition — and keep executing. No
-      // barrier, no `continue`; the whole point is that the request flag no
-      // longer stops this PE.
-      if (epoch_pump(pe)) break;
-    } else if (gvt_request_.load(std::memory_order_relaxed)) {
+    if (gvt_request_.load(std::memory_order_relaxed)) {
       if (gvt_round(pe)) break;
       continue;
     }
@@ -1855,12 +1599,6 @@ RunStats TimeWarpEngine::run() {
                cfg_.checkpoint.every;
   }
   slices_on_ = cfg_.obs.monitor || mig_on_ || telemetry_ || ck_on_;
-  epoch_mode_ = cfg_.gvt_mode == EngineConfig::GvtMode::Epoch;
-  if (epoch_mode_) {
-    // Value-initialization runs the slot initializers: crossed = 1 (every PE
-    // starts inside epoch 1), counters and the receive ring at zero.
-    ep_slots_ = std::make_unique<EpochSlot[]>(cfg_.num_pes);
-  }
   if (cfg_.obs.monitor) {
     monitor_ = std::make_unique<obs::MonitorWriter>(cfg_.obs.monitor_path);
   }
@@ -2008,9 +1746,6 @@ RunStats TimeWarpEngine::run() {
     g.gvt = m.final_gvt;
     g.round = m.gvt_rounds;
     g.wall_seconds = m.wall_seconds;
-    g.gvt_mode = epoch_mode_ ? 1 : 0;
-    g.epoch = epoch_mode_ ? ep_closed_.load(std::memory_order_relaxed) : 0;
-    g.in_flight = 0;  // run over; every send is matched
     hub_->publish_gauges(g);
     hub_->finalize_into(m);
     hub_.reset();

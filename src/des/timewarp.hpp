@@ -43,7 +43,6 @@
 // Open/Throttled/Blocked state and keeps the horizon (GVT + window) that
 // next_event compares against.
 
-#include <array>
 #include <atomic>
 #include <barrier>
 #include <cstdint>
@@ -166,38 +165,6 @@ class TimeWarpEngine final : public Engine {
     std::vector<std::uint64_t> mig_prev_rolled_back;
     std::uint64_t mig_decisions = 0;
     std::uint64_t mig_moves_total = 0;
-
-    // Epoch GVT (active only when cfg.gvt_mode == Epoch). local_epoch is the
-    // epoch this PE is currently executing in (numbered from 1); ep_done is
-    // the highest close whose bookkeeping this PE has already applied.
-    // cur_epoch_sent / cur_epoch_sendmin accumulate this epoch's remote-send
-    // count and minimum send timestamp until the next cut publishes them
-    // into the PE's EpochSlot. ep_poll throttles close-condition polls;
-    // ep_last_close_ns feeds the epoch-duration series column.
-    std::uint64_t local_epoch = 1;
-    std::uint64_t ep_done = 0;
-    std::uint64_t cur_epoch_sent = 0;
-    Time cur_epoch_sendmin = kTimeInf;
-    std::uint32_t ep_poll = 0;
-    std::uint64_t ep_last_close_ns = 0;
-  };
-
-  // Epoch-GVT reduction slot, one per PE, written by its owner at each epoch
-  // cut and read by whichever PE evaluates the close condition. `crossed` is
-  // the publication flag (release store after the other fields): slot fields
-  // describe epoch e once crossed >= e+1. `recvd` is a 4-deep ring indexed
-  // by envelope tag & 3 — the close-serialization ack gate bounds the epoch
-  // spread across PEs to one, so live tags span at most {n-1, n, n+1} while
-  // a PE is in epoch n and slot (n+2)&3 is dead and safe to reset at the
-  // crossing into n. Counters are monotone within an epoch, which is what
-  // makes the relaxed sum-equality close test sound (observed recv <= true
-  // recv <= true sent == observed sent once every PE has crossed).
-  struct alignas(64) EpochSlot {
-    std::atomic<std::uint64_t> crossed{1};       // PE has entered this epoch
-    std::atomic<std::uint64_t> localmin_bits{0}; // min(pending, chaos-held)
-    std::atomic<std::uint64_t> sendmin_bits{0};  // min ts of epoch sends
-    std::atomic<std::uint64_t> sent{0};          // epoch remote-send count
-    std::array<std::atomic<std::uint64_t>, 4> recvd{};  // by tag & 3
   };
 
   // One cache line per PE of per-round state, written between GVT barriers A
@@ -288,47 +255,26 @@ class TimeWarpEngine final : public Engine {
                    std::uint32_t offender_kp);
   void undo_event(PeData& pe, Event* ev);
   void process_one(PeData& pe, Event* ev);
-  // Barrier GVT round. Returns true when the run is complete (GVT beyond end
-  // time).
+  // GVT round. Returns true when the run is complete (GVT beyond end time).
   bool gvt_round(PeData& pe);
-  // The one commit point both GVT modes reach with a new GVT: reached by
-  // every PE from gvt_round after barrier B, and from
-  // epoch_close_bookkeeping for every won close in order. Runs fossil
-  // collection, the progress beacon, the chaos stall counter, the
-  // checkpoint and migration rounds, the GvtRoundSample push, PE 0's monitor
-  // record and gauges, and last the optimism controller's commit step
-  // (interval, window, horizon). `inbox_depth` is the observed inbox depth
-  // (0 at epoch cuts, which cannot walk the inbox).
+  // The commit point, reached by every PE from gvt_round after barrier B
+  // with the round's GVT. Runs fossil collection, the progress beacon, the
+  // chaos stall counter, the checkpoint and migration rounds, the
+  // GvtRoundSample push, PE 0's monitor record and gauges, and last the
+  // optimism controller's commit step (interval, window, horizon).
   void commit_point(PeData& pe, Time gvt, std::uint64_t inbox_depth);
   // Engine-global side effects of a new GVT (round count, shared GVT,
-  // watchdog heart), taken by one PE per round in either mode.
+  // watchdog heart), taken by PE 0 once per round.
   void publish_gvt(PeData& pe, Time gvt);
   // Minimum timestamp over the pending set and the chaos holdback.
   Time held_min(PeData& pe);
-  // Epoch GVT (cfg.gvt_mode == Epoch): the per-iteration pump replacing the
-  // barrier-mode `if (gvt_request_) gvt_round()` branch. Applies any closes
-  // other PEs have already won (epoch_close_bookkeeping, in order), crosses
-  // into the next epoch when the request flag is up and the ack gate allows,
-  // and polls the close condition (throttled). Returns true when a close's
-  // GVT passed the end time and this PE is done.
-  bool epoch_pump(PeData& pe);
-  // Publish this PE's epoch-e reduction contribution (local minimum over
-  // pending + chaos-held, send count/minimum) into its EpochSlot and enter
-  // epoch e+1. Also publishes the monitor slice — the ack gate keeps it
-  // stable until every PE finished the bookkeeping that reads it.
-  void epoch_cross(PeData& pe);
-  // Evaluate the close condition for the oldest open epoch: every PE crossed
-  // past it and global sends == global receives for its tag. The winner CASes
-  // ep_closed_ forward and takes the global side-effects (publish_gvt and the
-  // request-flag clear).
-  void try_close_epoch(PeData& pe);
-  // Per-PE bookkeeping for a won close of epoch `e`: commit_point at the
-  // close's GVT, then the ack. Acks the close last so crossings into e+2
-  // (which overwrite slot e's fields) wait for every reader. Returns true
-  // when gvt ends the run.
-  bool epoch_close_bookkeeping(PeData& pe, std::uint64_t e);
-  // Fill this PE's MonitorSlice (shared between barrier and epoch modes).
+  // Fill this PE's MonitorSlice (between barriers A and B of a round).
   void publish_slice(PeData& pe, std::uint64_t inbox_depth);
+  // Quiesce loop of the checkpoint and migration rounds: drain, run the
+  // caller's `after_drain`, flush and vote, between barriers, until a full
+  // pass moves nothing on any PE (quiesce_again_ is the vote flag).
+  template <class AfterDrain>
+  void quiesce(PeData& pe, AfterDrain&& after_drain);
   // Checkpoint at the GVT fence, entered from commit_point by every PE in the
   // same round (the trigger reads only replicated slice data): roll
   // every owned KP back to {gvt,0,0,0,0}, quiesce the traffic the sweep put
@@ -378,23 +324,8 @@ class TimeWarpEngine final : public Engine {
   std::vector<Time> local_min_;  // indexed by PE, padded writes are fine here
   std::atomic<std::uint64_t> gvt_rounds_{0};
   std::atomic<Time> shared_gvt_{0.0};
+  std::atomic<bool> quiesce_again_{false};  // quiesce() vote flag
   std::uint64_t epoch_ns_ = 0;  // run-start timestamp for series/trace
-
-  // Epoch GVT (cfg.gvt_mode == Epoch; see docs/GVT.md). ep_closed_ is the
-  // highest epoch whose close has been won (monotone, CAS-advanced by the
-  // winning PE); ep_gvt_bits_ carries that close's GVT — a single slot
-  // suffices because the ack gate forbids closing e+1 before every PE
-  // finished reading close e. ep_acks_total_ counts per-PE bookkeeping
-  // completions (close e fully applied once it reaches e * num_pes), which
-  // gates crossings into e+2. The inflight pair feeds the obs series: peak
-  // unmatched sends observed while polling, latched per close.
-  bool epoch_mode_ = false;
-  std::unique_ptr<EpochSlot[]> ep_slots_;
-  std::atomic<std::uint64_t> ep_closed_{0};
-  std::atomic<std::uint64_t> ep_gvt_bits_{0};
-  std::atomic<std::uint64_t> ep_acks_total_{0};
-  std::atomic<std::uint64_t> ep_inflight_peak_{0};
-  std::atomic<std::uint64_t> ep_inflight_last_{0};
 
   // Stamp remote sends with wall time for trace flow events (only when
   // tracing AND forensics are both on; otherwise zero clock reads).
@@ -421,23 +352,21 @@ class TimeWarpEngine final : public Engine {
   // mig_stage_/mig_stage_held_ are the handoff staging areas, indexed by KP:
   // the source PE parks the KP's in-flight envelopes there during extract
   // and the destination adopts them during integrate (disjoint KPs, barrier
-  // between the phases). mig_again_ is the quiescence-loop vote flag.
+  // between the phases).
   bool mig_on_ = false;
   std::vector<std::uint64_t> kp_processed_;
   std::vector<std::vector<Event*>> mig_stage_;
   std::vector<std::vector<PeData::HeldEnvelope>> mig_stage_held_;
-  std::atomic<bool> mig_again_{false};
 
   // Checkpointing (cfg.checkpoint.enabled()). ck_next_ is the committed-count
   // threshold for the next image: written only by PE 0 between the barriers
   // of a checkpoint round and read by every PE at the trigger check, which
   // the same barriers order after the write. ck_stage_ is indexed by PE and
   // touched only by its owner — except during PE 0's serialize, which runs
-  // with every other PE parked. ck_again_ is the quiesce-loop vote flag.
+  // with every other PE parked.
   bool ck_on_ = false;
   std::uint64_t ck_base_committed_ = 0;  // image baseline when restoring
   std::uint64_t ck_next_ = ~0ull;
-  std::atomic<bool> ck_again_{false};
   std::vector<std::vector<Event*>> ck_stage_;
 
   // Stall watchdog / fail-fast diagnostics (see des/watchdog.hpp). Beacons

@@ -126,13 +126,11 @@ void dump_stall_diagnostics(const char* reason,
         scope.heart->gvt_bits.load(std::memory_order_relaxed));
     n = std::snprintf(
         buf, sizeof(buf),
-        "gvt %.17g  committed %llu  gvt-rounds %llu  activity %llu\n", gvt,
+        "gvt %.17g  committed %llu  gvt-rounds %llu\n", gvt,
         static_cast<unsigned long long>(
             scope.heart->committed.load(std::memory_order_relaxed)),
         static_cast<unsigned long long>(
-            scope.heart->rounds.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            scope.heart->activity.load(std::memory_order_relaxed)));
+            scope.heart->rounds.load(std::memory_order_relaxed)));
     if (n > 0) emit(buf, static_cast<std::size_t>(n));
   }
 
@@ -195,8 +193,6 @@ void Watchdog::poll_loop(std::stop_token st) {
       scope_.heart->gvt_bits.load(std::memory_order_relaxed);
   std::uint64_t last_committed =
       scope_.heart->committed.load(std::memory_order_relaxed);
-  std::uint64_t last_activity =
-      scope_.heart->activity.load(std::memory_order_relaxed);
   Clock::time_point last_progress = Clock::now();
   while (!st.stop_requested()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(cfg_.poll_ms));
@@ -205,18 +201,12 @@ void Watchdog::poll_loop(std::stop_token st) {
         scope_.heart->gvt_bits.load(std::memory_order_relaxed);
     const std::uint64_t committed =
         scope_.heart->committed.load(std::memory_order_relaxed);
-    const std::uint64_t activity =
-        scope_.heart->activity.load(std::memory_order_relaxed);
-    // Any frontier moving counts as progress: a Blocked PE waiting out the
-    // pool budget advances committed without advancing GVT for a while, a
-    // chaos straggler can advance GVT without committing locally, and an
-    // epoch-GVT run crossing into a new epoch (activity) is live even while
-    // GVT and the committed count hold still until the close.
-    if (gvt_bits != last_gvt_bits || committed != last_committed ||
-        activity != last_activity) {
+    // Either frontier moving counts as progress: a Blocked PE waiting out the
+    // pool budget advances committed without advancing GVT for a while, and
+    // a chaos straggler can advance GVT without committing locally.
+    if (gvt_bits != last_gvt_bits || committed != last_committed) {
       last_gvt_bits = gvt_bits;
       last_committed = committed;
-      last_activity = activity;
       last_progress = Clock::now();
       continue;
     }

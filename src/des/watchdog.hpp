@@ -86,14 +86,6 @@ struct WatchdogHeart {
   std::atomic<std::uint64_t> gvt_bits{0};
   std::atomic<std::uint64_t> committed{0};
   std::atomic<std::uint64_t> rounds{0};
-  // Protocol liveness ticks that are not yet commits: epoch-GVT bumps this
-  // at every epoch crossing, so a long-but-progressing epoch (GVT and the
-  // committed count both flat until the close) is not misreported as a
-  // wedge. The cost: a run whose epochs never close looks alive to the
-  // watchdog for as long as PEs keep crossing — the close-serialization ack
-  // gate bounds that to one uncommitted epoch, after which crossings stop
-  // and the flat window starts. Barrier mode never writes it.
-  std::atomic<std::uint64_t> activity{0};
 };
 
 // Everything the dump needs, bundled so the fail_fast callback can carry it

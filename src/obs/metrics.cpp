@@ -93,8 +93,6 @@ void MetricsReport::write_json(util::JsonWriter& w) const {
     w.kv("pool_live", s.pool_live);
     w.kv("pool_bytes", s.pool_bytes);
     w.kv("migrations", s.migrations);
-    w.kv("epoch_dur_ns", s.epoch_dur_ns);
-    w.kv("in_flight", s.in_flight);
     w.end_object();
   }
   w.end_array();

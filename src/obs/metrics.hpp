@@ -49,7 +49,7 @@ enum class Phase : std::uint8_t {
   Throttled,   // optimism flow control capping this PE (soft/hard watermark)
   Migrate,     // KP migration handoff: quiescence drain + state transfer
   Checkpoint,  // checkpoint fence rollback, quiescence and serialization
-  GvtEpoch,    // epoch-GVT cut publication + close bookkeeping (no barriers)
+  GvtEpoch,    // never charged (always 0); perfbench/run.py reads its key
   kCount
 };
 inline constexpr std::size_t kNumPhases = static_cast<std::size_t>(Phase::kCount);
@@ -114,8 +114,6 @@ enum class Counter : std::uint8_t {
   MigrationRounds,     // GVT rounds that executed a migration handoff
   TelemetryDropped,    // latency samples dropped on telemetry-ring overflow
   Checkpoints,         // checkpoint images written (PE 0 / sequential only)
-  GvtEpochCloses,      // epoch-GVT: epochs closed (== gvt rounds in epoch mode)
-  GvtEpochInflightPeak,// epoch-GVT: peak unmatched sends seen at a close poll
   kCount
 };
 inline constexpr std::size_t kNumCounters =
@@ -166,8 +164,6 @@ inline constexpr std::array<CounterDef, kNumCounters> kCounterDefs{{
     {"migration_rounds", Reduce::Sum},
     {"telemetry_dropped", Reduce::Sum},
     {"checkpoints_written", Reduce::Sum},
-    {"gvt_epochs_closed", Reduce::Sum},
-    {"gvt_epoch_inflight_peak", Reduce::Max},
 }};
 
 constexpr const char* counter_name(Counter c) noexcept {
@@ -231,8 +227,6 @@ struct PeMetrics {
   std::uint64_t migration_rounds() const noexcept { return at(Counter::MigrationRounds); }
   std::uint64_t telemetry_dropped() const noexcept { return at(Counter::TelemetryDropped); }
   std::uint64_t checkpoints_written() const noexcept { return at(Counter::Checkpoints); }
-  std::uint64_t gvt_epochs_closed() const noexcept { return at(Counter::GvtEpochCloses); }
-  std::uint64_t gvt_epoch_inflight_peak() const noexcept { return at(Counter::GvtEpochInflightPeak); }
 
   bool operator==(const PeMetrics&) const = default;
 };
@@ -255,10 +249,6 @@ struct GvtRoundSample {
   std::uint64_t pool_live = 0;      // outstanding envelopes at this round
   std::uint64_t migrations = 0;     // KP moves executed this round
   std::uint64_t pool_bytes = 0;     // slab bytes owned by the pool(s)
-  // Epoch-GVT extras (0 in barrier mode). Appended last: samples are
-  // positionally aggregate-initialized at the kernels' push sites.
-  std::uint64_t epoch_dur_ns = 0;   // wall time this epoch stayed open
-  std::uint64_t in_flight = 0;      // peak unmatched sends during the epoch
 
   // Fraction of the round's optimism that survived; can exceed 1 when older
   // optimistic work finally commits.

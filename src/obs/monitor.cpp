@@ -47,9 +47,6 @@ void MonitorWriter::emit(const MonitorSample& s) {
     w.kv("blocked_pes", s.blocked_pes);
     w.kv("kp_migrations", s.kp_migrations);
     w.kv("mapping_epoch", s.mapping_epoch);
-    w.kv("gvt_mode", s.gvt_mode);
-    w.kv("epoch", s.epoch);
-    w.kv("in_flight", s.in_flight);
     if (s.has_commit_latency) {
       w.kv("commit_latency_p99_us", s.commit_latency_p99_us);
     }

@@ -58,13 +58,6 @@ struct MonitorSample {
   // has_commit_latency is set (telemetry off keeps old streams unchanged).
   bool has_commit_latency = false;
   double commit_latency_p99_us = 0.0;
-  // GVT algorithm (EngineConfig::gvt_mode): "barrier" or "epoch". Under the
-  // epoch algorithm, `epoch` is the epoch number the emitting close just
-  // retired and `in_flight` is that close's latched peak of sent-but-not-
-  // yet-received envelopes; both stay 0 in barrier mode.
-  const char* gvt_mode = "barrier";
-  std::uint64_t epoch = 0;
-  std::uint64_t in_flight = 0;
 };
 
 class MonitorWriter {

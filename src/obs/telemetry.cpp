@@ -253,15 +253,6 @@ std::string TelemetryHub::render_locked() const {
     out += "# TYPE hp_wall_seconds gauge\nhp_wall_seconds ";
     append_double(out, gauges_.wall_seconds);
     out += "\n";
-    out += "# HELP hp_gvt_mode GVT algorithm (0 = barrier, 1 = epoch).\n";
-    out += "# TYPE hp_gvt_mode gauge\nhp_gvt_mode " +
-           std::to_string(gauges_.gvt_mode) + "\n";
-    out += "# TYPE hp_gvt_epoch gauge\nhp_gvt_epoch " +
-           std::to_string(gauges_.epoch) + "\n";
-    out += "# HELP hp_gvt_in_flight Peak unmatched sends at the last epoch "
-           "close.\n";
-    out += "# TYPE hp_gvt_in_flight gauge\nhp_gvt_in_flight " +
-           std::to_string(gauges_.in_flight) + "\n";
     for (std::size_t c = 0; c < kNumCounters; ++c) {
       const char* type =
           kCounterDefs[c].reduce == Reduce::Max ? "gauge" : "counter";

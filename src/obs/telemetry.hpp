@@ -108,12 +108,6 @@ struct GaugeSnapshot {
   double gvt = 0.0;
   std::uint64_t round = 0;
   double wall_seconds = 0.0;
-  // GVT algorithm gauges: 0 = barrier, 1 = epoch; under the epoch algorithm
-  // `epoch` is the latest closed epoch and `in_flight` that close's latched
-  // peak of unmatched sends (both stay 0 in barrier mode).
-  std::uint32_t gvt_mode = 0;
-  std::uint64_t epoch = 0;
-  std::uint64_t in_flight = 0;
 };
 
 class TelemetryHub {

@@ -110,25 +110,21 @@ struct ChaosCase {
   Counter witness;
 };
 
-struct ChaosKnobs {
-  ChaosCase fault;
-  EngineConfig::GvtMode gvt;
-};
-
 // gtest appends the printed parameter to every ctest name. Print the case,
 // not the default byte dump (which embeds string-literal addresses), so the
-// names are the same in every build.
-void PrintTo(const ChaosKnobs& k, std::ostream* os) {
-  *os << k.fault.name << '/' << gvt_mode_name(k.gvt);
+// names are the same in every build. The `/barrier` suffix is the GVT
+// algorithm the cells were written under, kept so each cell's history stays
+// under one test id.
+void PrintTo(const ChaosCase& c, std::ostream* os) {
+  *os << c.name << "/barrier";
 }
 
-class ChaosMatrix : public ::testing::TestWithParam<ChaosKnobs> {};
+class ChaosMatrix : public ::testing::TestWithParam<ChaosCase> {};
 
-// Every fault plan, on a rollback-heavy PHOLD load at 4 PEs and under both
-// GVT algorithms, commits bit-identical state to the fault-free sequential
-// reference.
+// Every fault plan, on a rollback-heavy PHOLD load at 4 PEs, commits
+// bit-identical state to the fault-free sequential reference.
 TEST_P(ChaosMatrix, DeliveryFaultsNeverChangeCommittedState) {
-  const auto [fault, gvt] = GetParam();
+  const ChaosCase fault = GetParam();
 
   PholdConfig pc;
   pc.num_lps = 48;
@@ -147,7 +143,6 @@ TEST_P(ChaosMatrix, DeliveryFaultsNeverChangeCommittedState) {
   ec.num_pes = 4;
   ec.num_kps = 16;
   ec.gvt_interval_events = 96;
-  ec.gvt_mode = gvt;
   std::string err;
   ASSERT_TRUE(FaultPlan::parse(fault.spec, ec.fault, err)) << err;
   ASSERT_TRUE(ec.fault.any());
@@ -192,9 +187,6 @@ TEST(ChaosMatrix, ChaoticRunIsRepeatable) {
   EXPECT_EQ(PholdModel::digest(*a), PholdModel::digest(*b));
 }
 
-constexpr auto kBarrier = EngineConfig::GvtMode::Barrier;
-constexpr auto kEpoch = EngineConfig::GvtMode::Epoch;
-
 constexpr ChaosCase kDelay = {"delay", "delay:p=0.3,k=2;seed=7",
                               Counter::ChaosDelayedEvents};
 constexpr ChaosCase kReorder = {"reorder", "reorder:p=0.6;seed=7",
@@ -211,25 +203,14 @@ constexpr ChaosCase kCombined = {
     "stall:pe=2,rounds=3,at=1;seed=13",
     Counter::ChaosDelayedEvents};
 
-// Cell ids keep the token of the queue backend each cell was written for, so
-// that a cell's history stays under one test id. Every cell now runs the
-// ladder queue, and the token marks the GVT algorithm instead: `splay` cells
-// run the barrier GVT, `mset` cells the epoch GVT.
+// Cell ids keep the `_splay` token of the queue backend the cells were
+// written for, so that each cell's history stays under one test id. Every
+// cell runs the ladder queue.
 INSTANTIATE_TEST_SUITE_P(
     FaultSweep, ChaosMatrix,
-    ::testing::Values(ChaosKnobs{kDelay, kBarrier}, ChaosKnobs{kDelay, kEpoch},
-                      ChaosKnobs{kReorder, kBarrier},
-                      ChaosKnobs{kReorder, kEpoch},
-                      ChaosKnobs{kStraggler, kBarrier},
-                      ChaosKnobs{kDupAnti, kBarrier},
-                      ChaosKnobs{kDupAnti, kEpoch},
-                      ChaosKnobs{kStall, kBarrier},
-                      ChaosKnobs{kCombined, kBarrier},
-                      ChaosKnobs{kCombined, kEpoch}),
-    [](const auto& info) {
-      return std::string(info.param.fault.name) +
-             (info.param.gvt == kBarrier ? "_splay" : "_mset");
-    });
+    ::testing::Values(kDelay, kReorder, kStraggler, kDupAnti, kStall,
+                      kCombined),
+    [](const auto& info) { return std::string(info.param.name) + "_splay"; });
 
 // Full-stack variant: hot-potato torus through the core facade; the whole
 // obs::ModelChannel (every named model metric) must match the sequential
@@ -347,6 +328,30 @@ TEST(FlowControl, ThrottlingComposesWithChaos) {
   for (const obs::PeMetrics& pe : tstats.per_pe()) {
     EXPECT_LE(pe.pool_peak_live(), 256u);
   }
+}
+
+// A budget tight enough to hit the hard watermark: a blocked PE forces a
+// GVT round whose fossil collection frees envelopes, so the run completes,
+// stays under budget on every PE and commits the sequential state.
+TEST(FlowControl, HardBlockForcesRoundAndStaysIdentical) {
+  PholdConfig pc = flow::phold_config();
+  EngineConfig ec = flow::engine_config();
+
+  PholdModel ms(pc);
+  std::unique_ptr<Engine> seq = make_engine(EngineKind::Sequential, ms, ec);
+  seq->run();
+
+  ec.pool_budget_envelopes = 128;
+  PholdModel m(pc);
+  std::unique_ptr<Engine> tw = make_engine(EngineKind::TimeWarp, m, ec);
+  const RunStats tstats = tw->run();
+
+  EXPECT_EQ(PholdModel::digest(*seq), PholdModel::digest(*tw));
+  for (const obs::PeMetrics& pe : tstats.per_pe()) {
+    EXPECT_LE(pe.pool_peak_live(), 128u);
+  }
+  EXPECT_GT(tstats.metrics.total.hard_blocks(), 0u);
+  EXPECT_GT(tstats.metrics.total.at(Counter::GvtPoolTriggers), 0u);
 }
 
 // Throttling is pure pacing: the same budget twice gives the same digest

@@ -86,8 +86,7 @@ TEST(MetricsDoc, CoversEveryMonitorKey) {
       "processed",     "rolled_back",  "event_rate",
       "rollback_rate", "inbox_depth",  "pool_live",
       "pool_bytes",    "throttled_pes", "blocked_pes",
-      "kp_migrations", "mapping_epoch", "gvt_mode",
-      "epoch",         "in_flight",    "commit_latency_p99_us",
+      "kp_migrations", "mapping_epoch", "commit_latency_p99_us",
       "top_offender_kp", "top_offender_events",
   };
   for (const char* k : keys) {
@@ -103,13 +102,10 @@ TEST(CliDoc, CoversTheUserFacingFlagSet) {
       "--json=",  "--csv=",        "--pes",     "--trace",
       "--fc=",    "--telemetry",   "--metrics-endpoint=",
       "--metrics-out=", "--checkpoint=", "--restore=", "--watchdog=",
-      "--gvt=",
   };
-  // ...and the full --gvt= grammar: both algorithm names and both keys.
-  for (const char* k : {"mode=", "barrier", "epoch", "interval="}) {
-    EXPECT_TRUE(mentions(doc, k))
-        << "docs/CLI.md does not document --gvt= key '" << k << "'";
-  }
+  // There is one GVT algorithm and no flag to pick one; the CLI reference
+  // must not advertise one.
+  EXPECT_FALSE(mentions(doc, "--gvt=")) << "docs/CLI.md documents --gvt=";
   // ...and the full --fc= grammar: every key and scheme name.
   for (const char* k : {"scheme=", "qcap=", "flit=", "credit_delay=",
                         "saf", "vct", "wormhole"}) {
@@ -161,15 +157,15 @@ TEST(ArchitectureDoc, DescribesCheckpointRestoreAndFailureHandling) {
   }
 }
 
-// The GVT protocol document: both algorithms, the transient-message
-// accounting that makes the asynchronous close sound, and the rounds that
-// anchor to a close.
-TEST(GvtDoc, DescribesBothAlgorithmsAndTheAccountingArgument) {
+// The GVT protocol document: the triggers, the two-barrier round and why
+// it sees no transient messages, the commit point and the rounds that run
+// inside it, and why there is no asynchronous mode.
+TEST(GvtDoc, DescribesTheBarrierRoundAndTheCommitPoint) {
   const std::string doc = read_file("docs/GVT.md");
   for (const char* s :
-       {"barrier", "epoch", "Mattern", "transient", "cut", "send",
-        "receive", "in flight", "fossil", "checkpoint", "migration",
-        "commit", "ack", "monotone", "gvt_mode"}) {
+       {"barrier", "gvt_round", "commit_point", "trigger", "transient",
+        "inbox", "in flight", "held_min", "fossil", "checkpoint", "migration",
+        "quiesce", "optimism", "asynchronous"}) {
     EXPECT_TRUE(mentions(doc, s)) << "missing GVT term '" << s << "'";
   }
 }

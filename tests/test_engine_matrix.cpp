@@ -21,7 +21,6 @@ struct Knobs {
   std::uint32_t pes;
   std::uint32_t kps;
   double window;  // <= 0 means infinite
-  EngineConfig::GvtMode gvt;
   EngineConfig::Cancellation cancellation;
   bool state_saving;
 };
@@ -48,7 +47,6 @@ TEST_P(EngineMatrix, BitIdenticalToSequential) {
   ec.num_kps = k.kps;
   ec.gvt_interval_events = 96;
   ec.optimism_window = k.window > 0 ? k.window : kTimeInf;
-  ec.gvt_mode = k.gvt;
   ec.cancellation = k.cancellation;
   ec.state_saving = k.state_saving;
   PholdModel m2(pc);
@@ -68,34 +66,25 @@ TEST_P(EngineMatrix, BitIdenticalToSequential) {
 
 constexpr auto kAgg = EngineConfig::Cancellation::Aggressive;
 constexpr auto kLazy = EngineConfig::Cancellation::Lazy;
-constexpr auto kBarrier = EngineConfig::GvtMode::Barrier;
-constexpr auto kEpoch = EngineConfig::GvtMode::Epoch;
-
-// Cell ids keep the token of the queue backend each cell was written for, so
-// that a cell's history stays under one test id. Every cell now runs the
-// ladder queue, and the token marks the GVT algorithm instead: `splay` cells
-// run the barrier GVT, `mset` cells the epoch GVT.
+// Cell ids keep the `_splay` token of the queue backend the cells were
+// written for, so that each cell's history stays under one test id. Every
+// cell runs the ladder queue and the barrier GVT.
 INSTANTIATE_TEST_SUITE_P(
     KnobSweep, EngineMatrix,
-    ::testing::Values(
-        Knobs{2, 8, 0.0, kBarrier, kAgg, false},
-        Knobs{2, 8, 0.0, kBarrier, kLazy, false},
-        Knobs{2, 8, 0.0, kEpoch, kAgg, false},
-        Knobs{2, 8, 0.0, kBarrier, kAgg, true},
-        Knobs{4, 16, 0.0, kBarrier, kLazy, false},
-        Knobs{4, 16, 0.0, kEpoch, kLazy, true},
-        Knobs{4, 16, 5.0, kBarrier, kAgg, false},
-        Knobs{4, 16, 5.0, kBarrier, kLazy, false},
-        Knobs{4, 16, 5.0, kEpoch, kAgg, true},
-        Knobs{3, 12, 2.0, kBarrier, kLazy, true},
-        Knobs{8, 24, 10.0, kBarrier, kAgg, false},
-        Knobs{8, 24, 0.0, kEpoch, kLazy, false}),
+    ::testing::Values(Knobs{2, 8, 0.0, kAgg, false},
+                      Knobs{2, 8, 0.0, kLazy, false},
+                      Knobs{2, 8, 0.0, kAgg, true},
+                      Knobs{4, 16, 0.0, kLazy, false},
+                      Knobs{4, 16, 5.0, kAgg, false},
+                      Knobs{4, 16, 5.0, kLazy, false},
+                      Knobs{3, 12, 2.0, kLazy, true},
+                      Knobs{8, 24, 10.0, kAgg, false}),
     [](const auto& info) {
       const Knobs& k = info.param;
       std::string name = "pe" + std::to_string(k.pes) + "_kp" +
                          std::to_string(k.kps) + "_w" +
                          std::to_string(static_cast<int>(k.window)) +
-                         (k.gvt == kBarrier ? "_splay" : "_mset") +
+                         "_splay" +
                          (k.cancellation == kLazy ? "_lazy" : "_agg") +
                          (k.state_saving ? "_ss" : "_rc");
       return name;

@@ -281,22 +281,6 @@ TEST(HotPotatoModel, LazyCancellationActuallyReusesChildren) {
       << "lazy mode should find identical re-sends to adopt";
 }
 
-TEST(HotPotatoModel, BarrierAndEpochGvtProduceIdenticalResults) {
-  auto o = base_opts(8, 0.5, 60);
-  o.kernel = Kernel::TimeWarp;
-  o.engine.num_pes = 2;
-  o.engine.num_kps = 16;
-  o.engine.gvt_interval_events = 256;
-  o.engine.gvt_mode = des::EngineConfig::GvtMode::Barrier;
-  const auto barrier = run_hotpotato(o);
-  o.engine.gvt_mode = des::EngineConfig::GvtMode::Epoch;
-  const auto epoch = run_hotpotato(o);
-  EXPECT_EQ(barrier.report, epoch.report);
-  EXPECT_TRUE(barrier.model == epoch.model);
-  EXPECT_EQ(barrier.engine.committed_events(),
-            epoch.engine.committed_events());
-}
-
 TEST(HotPotatoModel, LinearMappingAlsoDeterministic) {
   auto o = base_opts(8, 0.5, 60);
   o.kernel = Kernel::Sequential;

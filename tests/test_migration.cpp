@@ -360,13 +360,12 @@ TEST(MigrationDeterminism, MigratingRunIsRepeatable) {
   EXPECT_EQ(PholdModel::digest(*a), PholdModel::digest(*b));
 }
 
-// --------------------------------------------- migration x chaos x GVT mode
+// ---------------------------------------------------- migration x chaos
 
 struct MigChaosKnobs {
   const char* name;
   const char* migrate;
   const char* chaos;  // nullptr = fault-free
-  EngineConfig::GvtMode gvt;
 };
 
 // Stable ctest names: print the case name, not a byte dump of pointers.
@@ -386,7 +385,6 @@ TEST_P(MigrationMatrix, MigrationComposesWithDeliveryFaults) {
   std::unique_ptr<Engine> seq = make_engine(EngineKind::Sequential, m1, ec);
   const RunStats sstats = seq->run();
 
-  ec.gvt_mode = k.gvt;
   std::string err;
   ASSERT_TRUE(MigrationConfig::parse(k.migrate, ec.migration, err)) << err;
   if (k.chaos != nullptr) {
@@ -402,31 +400,24 @@ TEST_P(MigrationMatrix, MigrationComposesWithDeliveryFaults) {
       << "migration spec " << k.migrate << " never moved a KP";
 }
 
-constexpr auto kBarrier = EngineConfig::GvtMode::Barrier;
-constexpr auto kEpoch = EngineConfig::GvtMode::Epoch;
 constexpr const char* kCombinedChaos =
     "delay:p=0.2,k=2;reorder:p=0.4;straggler:p=0.3;dup-anti:p=0.3;seed=13";
 
-// Cell ids keep the token of the queue backend each cell was written for, so
-// that a cell's history stays under one test id. Every cell now runs the
-// ladder queue, and the token marks the GVT algorithm instead: `splay` cells
-// run the barrier GVT, `mset` cells the epoch GVT.
+// Cell ids keep the `_splay` token of the queue backend the cells were
+// written for, so that each cell's history stays under one test id. Every
+// cell runs the ladder queue.
 INSTANTIATE_TEST_SUITE_P(
     MigChaosSweep, MigrationMatrix,
     ::testing::Values(
-        MigChaosKnobs{"forced_splay", "forced,every=1,max=2", nullptr,
-                      kBarrier},
-        MigChaosKnobs{"forced_mset", "forced,every=1,max=2", nullptr, kEpoch},
+        MigChaosKnobs{"forced_splay", "forced,every=1,max=2", nullptr},
         MigChaosKnobs{"forced_delay_splay", "forced,every=1,max=2",
-                      "delay:p=0.3,k=2;seed=7", kBarrier},
+                      "delay:p=0.3,k=2;seed=7"},
         MigChaosKnobs{"forced_combined_splay", "forced,every=1,max=2",
-                      kCombinedChaos, kBarrier},
-        MigChaosKnobs{"forced_combined_mset", "forced,every=1,max=2",
-                      kCombinedChaos, kEpoch},
+                      kCombinedChaos},
         MigChaosKnobs{"forced_stall_splay", "forced,every=2,max=1",
-                      "stall:pe=1,rounds=6,at=2", kBarrier},
+                      "stall:pe=1,rounds=6,at=2"},
         MigChaosKnobs{"scored_combined_splay", "every=2,imbalance=1,max=2",
-                      kCombinedChaos, kBarrier}),
+                      kCombinedChaos}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // Full-stack variant: hot-potato torus through the core facade; the whole

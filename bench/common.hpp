@@ -140,21 +140,6 @@ inline bool apply_chaos_flags(const util::Cli& cli, des::EngineConfig& cfg) {
   return cfg.fault.any();
 }
 
-// Applies the shared --migrate=<spec> flag (runtime KP load balancing on the
-// Time Warp kernel; see des/migration.hpp for the grammar). Bare --migrate
-// arms the defaults. A malformed spec is a usage error. Returns true when the
-// balancer was armed so harnesses can restrict it to their Time Warp runs.
-inline bool apply_migration_flags(const util::Cli& cli,
-                                  des::EngineConfig& cfg) {
-  if (!cli.has("migrate")) return false;
-  std::string err;
-  if (!des::MigrationConfig::parse(cli.get("migrate", ""), cfg.migration,
-                                   err)) {
-    cli.usage_error("--migrate: " + err);
-  }
-  return cfg.migration.enabled;
-}
-
 // Applies the shared --fc=<spec> flag (buffered flow-control scheme
 // selection; see buffered/flow_control.hpp for the grammar). A malformed
 // spec is a usage error.
@@ -238,8 +223,6 @@ inline std::map<std::string, std::string> common_flags() {
                           "to this file; implies --telemetry"},
           {"chaos", "deterministic fault plan for Time Warp runs, e.g. "
                     "delay:p=0.2,k=2;seed=7 (see des/fault.hpp)"},
-          {"migrate", "runtime KP load balancing for Time Warp runs, e.g. "
-                      "every=8,imbalance=1.5,max=1 (see des/migration.hpp)"},
           {"fc", "buffered flow-control scheme for contrast runs, e.g. "
                  "scheme=wormhole,qcap=4,flit=4,credit_delay=1 (see "
                  "buffered/flow_control.hpp)"},

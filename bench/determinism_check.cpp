@@ -48,16 +48,6 @@ int main(int argc, char** argv) {
                 chaos_probe.fault.to_string().c_str());
   }
 
-  // Runtime KP migration likewise applies only to the Time Warp runs: the
-  // committed results must stay bit-identical no matter how often ownership
-  // moves, including with a chaos plan layered on top.
-  hp::des::EngineConfig mig_probe;
-  const bool migrate = hp::bench::apply_migration_flags(cli, mig_probe);
-  if (migrate) {
-    std::printf("migration plan (timewarp runs only): %s\n",
-                mig_probe.migration.to_string().c_str());
-  }
-
   std::printf("Attachment 3: repeatability check, %dx%d torus, 75%% "
               "injectors, %u steps, seed %llu\n\n",
               n, n, base.model.steps,
@@ -82,7 +72,6 @@ int main(int argc, char** argv) {
       }
       o.engine.fault = plan;
     }
-    if (migrate) o.engine.migration = mig_probe.migration;
     hp::bench::apply_monitor_flags(cli, o.engine);
     // Telemetry stamps must never perturb committed state: the stamped
     // Time Warp runs still have to verify IDENTICAL against the unstamped
@@ -134,7 +123,6 @@ int main(int argc, char** argv) {
                 chaos_probe.fault.stall_pe < 4)) {
     o.engine.fault = chaos_probe.fault;
   }
-  if (migrate) o.engine.migration = mig_probe.migration;
   hp::bench::apply_telemetry_flags(cli, o.engine);
   const auto again = hp::core::run_hotpotato(o);
   const bool repeat = again.model == seq.model && again.report == seq.report;

@@ -5,8 +5,8 @@
 //   ./quickstart [--n=16] [--inject=0.5] [--steps=200] [--pes=1]
 //               [--trace=trace.json] [--monitor[=interval]]
 //               [--monitor-out=monitor.jsonl] [--chaos=spec]
-//               [--pool-budget=envelopes] [--migrate[=spec]]
-//               [--telemetry] [--metrics-endpoint=port|unix:path]
+//               [--pool-budget=envelopes] [--telemetry]
+//               [--metrics-endpoint=port|unix:path]
 //               [--metrics-out=metrics.prom]
 //
 // --trace writes a Chrome/Perfetto phase trace of the run (one track per
@@ -18,10 +18,9 @@
 // see des/fault.hpp for the grammar. Committed results are unchanged.
 // --pool-budget (Time Warp only) caps live event envelopes per PE; the
 // engine throttles optimism instead of aborting when memory runs short, and
-// the run prints its throttle entries, hard blocks and peak live envelopes.
-// --migrate (Time Warp only) arms runtime KP load balancing, e.g.
-// --migrate="every=8,imbalance=1.5,max=1" (bare --migrate uses those
-// defaults) — see des/migration.hpp. Committed results are unchanged.
+// the run prints its throttle entries, hard blocks and peak live envelopes
+// (and a stderr warning when the seeded events alone reach the budget).
+// KPs stay on the PE the static block mapping gives them for the whole run.
 // --telemetry records event-lifecycle latency histograms (queue dwell,
 // commit latency, rollback cost, inbox dwell); --metrics-endpoint serves
 // them live as Prometheus text on a loopback port or unix socket, and
@@ -34,7 +33,6 @@
 #include "core/simulation.hpp"
 #include "des/checkpoint.hpp"
 #include "des/fault.hpp"
-#include "des/migration.hpp"
 #include "des/watchdog.hpp"
 #include "util/cli.hpp"
 
@@ -50,8 +48,6 @@ int main(int argc, char** argv) {
                      {"monitor-out", "append monitor stream to this file"},
                      {"chaos", "fault plan, e.g. delay:p=0.2,k=2;seed=7"},
                      {"pool-budget", "live-envelope budget per PE (0 = off)"},
-                     {"migrate",
-                      "KP load balancing, e.g. every=8,imbalance=1.5,max=1"},
                      {"telemetry", "record latency histograms"},
                      {"metrics-endpoint",
                       "serve Prometheus text on <port> or unix:<path>"},
@@ -120,16 +116,6 @@ int main(int argc, char** argv) {
       cli.usage_error("--chaos stall:pe=" +
                       std::to_string(opts.engine.fault.stall_pe) +
                       " is out of range for " + std::to_string(pes) + " PEs");
-    }
-  }
-  if (cli.has("migrate")) {
-    std::string err;
-    if (!hp::des::MigrationConfig::parse(cli.get("migrate", ""),
-                                         opts.engine.migration, err)) {
-      cli.usage_error("--migrate: " + err);
-    }
-    if (pes <= 1) {
-      cli.usage_error("--migrate requires the Time Warp kernel (--pes > 1)");
     }
   }
   if (cli.has("pool-budget")) {
@@ -223,12 +209,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     result.engine.metrics.total.checkpoints_written()),
                 opts.engine.checkpoint.dir.c_str());
-  }
-  if (result.engine.kp_migrations() > 0) {
-    std::printf("  migrations: %llu KP move(s), %llu event(s) re-homed\n",
-                static_cast<unsigned long long>(result.engine.kp_migrations()),
-                static_cast<unsigned long long>(
-                    result.engine.migrated_events()));
   }
   if (opts.engine.obs.monitor) {
     std::printf("  monitor: %llu heartbeat line(s) -> %s\n",

@@ -8,15 +8,14 @@
 //   absorb_sleeping_packet  1 = practical mode, 0 = proof-verification
 //
 //   ./ross_cli --n=32 --processors=4 --duration=2560 --probability_i=50
-//              [--absorb_sleeping_packet=1] [--chaos=spec] [--migrate[=spec]]
+//              [--absorb_sleeping_packet=1] [--chaos=spec]
 //              [--telemetry] [--metrics-endpoint=port|unix:path]
 //              [--metrics-out=metrics.prom] [--checkpoint=spec]
 //              [--restore=path] [--watchdog=spec]
 //
 // --chaos (Time Warp only) arms deterministic fault injection on the remote
 // event path (see des/fault.hpp); committed results are unchanged.
-// --migrate (Time Warp only) arms runtime KP load balancing (see
-// des/migration.hpp); committed results are unchanged.
+// KPs stay on the PE the static mapping gives them for the whole run.
 // --telemetry records latency histograms; --metrics-endpoint /
 // --metrics-out expose them live as Prometheus text (either implies
 // --telemetry). Committed results are unchanged.
@@ -31,7 +30,6 @@
 #include "core/simulation.hpp"
 #include "des/checkpoint.hpp"
 #include "des/fault.hpp"
-#include "des/migration.hpp"
 #include "des/watchdog.hpp"
 #include "hotpotato/packet.hpp"
 #include "util/cli.hpp"
@@ -49,7 +47,6 @@ int main(int argc, char** argv) {
        {"monitor", "heartbeat every N GVT rounds (bare = 1)"},
        {"monitor-out", "append monitor stream to this file"},
        {"chaos", "fault plan, e.g. delay:p=0.2,k=2;seed=7"},
-       {"migrate", "KP load balancing, e.g. every=8,imbalance=1.5,max=1"},
        {"telemetry", "record latency histograms"},
        {"metrics-endpoint", "serve Prometheus text on <port> or unix:<path>"},
        {"metrics-out", "rewrite a Prometheus snapshot to this file"},
@@ -111,17 +108,6 @@ int main(int argc, char** argv) {
       cli.usage_error("--chaos stall:pe=" +
                       std::to_string(opts.engine.fault.stall_pe) +
                       " is out of range for " + std::to_string(pes) + " PEs");
-    }
-  }
-  if (cli.has("migrate")) {
-    std::string err;
-    if (!hp::des::MigrationConfig::parse(cli.get("migrate", ""),
-                                         opts.engine.migration, err)) {
-      cli.usage_error("--migrate: " + err);
-    }
-    if (pes <= 1) {
-      cli.usage_error("--migrate requires the Time Warp kernel "
-                      "(--processors > 1)");
     }
   }
   if (cli.has("checkpoint")) {

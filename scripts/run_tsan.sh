@@ -7,7 +7,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake --preset tsan
-cmake --build build-tsan -j "$(nproc)" --target test_mpsc_queue test_timewarp test_engine_matrix test_chaos test_migration test_event_pool test_pending_set test_latency test_obs test_checkpoint quickstart
+cmake --build build-tsan -j "$(nproc)" --target test_mpsc_queue test_timewarp test_engine_matrix test_chaos test_event_pool test_pending_set test_latency test_obs test_checkpoint quickstart
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 ./build-tsan/tests/test_mpsc_queue
@@ -16,13 +16,9 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 # Fault injection + flow control stress the same lock-free paths from new
 # angles (held envelopes, blocked PEs, duplicated antis).
 ./build-tsan/tests/test_chaos
-# KP migration moves state between PE threads at GVT commit points: the
-# quiescence/handoff barriers and the shared OwnershipTable writes must be
-# race-free under every chaos plan.
-./build-tsan/tests/test_migration
 # Slab pool recycling and the ladder-queue pending set run single-threaded
-# per PE, but migration adoption moves envelopes across pools — keep their
-# unit suites in the gate so the adjust_live accounting stays clean too.
+# per PE, but envelopes are freed into the receiving PE's pool — keep their
+# unit suites in the gate so the cross-pool live accounting stays clean too.
 ./build-tsan/tests/test_event_pool
 ./build-tsan/tests/test_pending_set
 # Latency telemetry runs a background collector thread draining per-PE SPSC

@@ -287,7 +287,7 @@ void ConservativeEngine::run_pe(PeData& pe) {
         pe.local_rounds, obs::monotonic_ns() - epoch_ns_, wend - lookahead_,
         processed_delta, processed_delta, inbox_depth, pe.pool.allocated(),
         static_cast<std::uint64_t>(std::max<std::int64_t>(0, pe.pool.live())),
-        0, pe.pool.pool_bytes()});
+        pe.pool.pool_bytes()});
     ++pe.local_rounds;
     pe.processed_at_last_window = pe.metrics.at(Counter::Processed);
   }

@@ -17,7 +17,6 @@
 
 #include "des/checkpoint.hpp"
 #include "des/fault.hpp"
-#include "des/migration.hpp"
 #include "des/time.hpp"
 #include "des/watchdog.hpp"
 #include "net/mapping.hpp"
@@ -79,12 +78,6 @@ struct EngineConfig {
   // Deterministic fault injection for the remote event path (Time Warp
   // only; disarmed by default). See des/fault.hpp.
   FaultPlan fault;
-  // Runtime KP -> PE migration (Time Warp only; off by default). At every
-  // interval-th GVT round the balancer re-homes the hottest KP(s) from the
-  // hottest PE to the coldest one via a stop-the-world handoff. Committed
-  // results are bit-identical with migration on or off at any cadence — the
-  // event ordering key is placement-independent. See des/migration.hpp.
-  MigrationConfig migration;
   // Observability: phase timers, GVT-round series retention, Chrome trace
   // export. Pure bookkeeping — results are bit-identical at any setting.
   obs::ObsConfig obs;
@@ -161,12 +154,6 @@ struct RunStats {
   }
   std::uint64_t idle_spins() const noexcept {
     return metrics.total.idle_spins();
-  }
-  std::uint64_t kp_migrations() const noexcept {
-    return metrics.total.kp_migrations();
-  }
-  std::uint64_t migrated_events() const noexcept {
-    return metrics.total.migrated_events();
   }
   std::uint64_t gvt_rounds() const noexcept { return metrics.gvt_rounds; }
   double wall_seconds() const noexcept { return metrics.wall_seconds; }

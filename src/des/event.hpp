@@ -165,19 +165,14 @@ struct Event : util::MpscNode {
 //
 // Capacity vs. live: `capacity()` is the high-water storage owned by this
 // pool (whole slabs; it never shrinks) and `live()` is the current
-// outstanding-envelope count (allocated minus freed *here*, plus migration
-// adoptions) — the number fossil collection actually drives back down.
-// live() is signed because envelopes migrate: a PE that mostly receives
-// remote events frees more envelopes into its pool than it allocated from
-// it, so its live() goes negative while the sender's stays positive — only
-// the sum (or a single-pool engine) is a memory figure. The optimism
+// outstanding-envelope count (allocated minus freed *here*) — the number
+// fossil collection actually drives back down. live() is signed because
+// envelopes cross PEs: a PE that mostly receives remote events frees more
+// envelopes into its pool than it allocated from it, so its live() goes
+// negative while the sender's stays positive — only the sum (or a
+// single-pool engine) is a memory figure. The optimism
 // flow-control watermarks compare a PE's own live() against its budget,
 // which is exactly the "am I the one over-allocating" question.
-//
-// peak_live() is the allocation-driven high-water only: a KP-migration
-// handoff that adopts envelopes raises live() (the adoptees are real
-// pressure) but not peak_live(), because no storage was allocated here —
-// the adopted-side high-water is tracked separately as peak_adopted().
 class EventPool {
  public:
   EventPool() = default;
@@ -245,29 +240,12 @@ class EventPool {
     return slabs_.size() * kSlabEnvelopes * sizeof(Event);
   }
 
-  // KP migration handoff: envelopes that change owner without being freed
-  // move their live-count with them, so the flow-control watermarks keep
-  // comparing each PE's own pressure against its own budget (the sum across
-  // pools is invariant). Positive on the receiving pool, negative on the
-  // sending one. Deliberately does NOT touch peak_live_: adoption allocates
-  // nothing, so the allocation high-water must not move (the old behaviour
-  // inflated the receiving pool's memory figure on every handoff).
-  void adjust_live(std::int64_t delta) noexcept {
-    live_ += delta;
-    adopted_ += delta;
-    if (adopted_ > peak_adopted_) peak_adopted_ = adopted_;
-  }
-
-  // Outstanding allocations netted against frees into this pool plus
-  // migration adoptions (signed — see the class comment).
+  // Outstanding allocations netted against frees into this pool (signed —
+  // see the class comment).
   std::int64_t live() const noexcept { return live_; }
-  // Allocation-driven high-water (never includes migration adoptions; never
-  // negative because it only ratchets up from 0 inside allocate()).
+  // High-water of live(); never negative because it only ratchets up from 0
+  // inside allocate().
   std::int64_t peak_live() const noexcept { return peak_live_; }
-  // Net envelopes adopted from (positive) or handed to (negative) other
-  // pools by KP migration, and the adopted-side high-water.
-  std::int64_t adopted() const noexcept { return adopted_; }
-  std::int64_t peak_adopted() const noexcept { return peak_adopted_; }
 
  private:
   static constexpr int kPoisonByte = 0xA5;
@@ -294,8 +272,6 @@ class EventPool {
   std::size_t free_count_ = 0;
   std::int64_t live_ = 0;
   std::int64_t peak_live_ = 0;
-  std::int64_t adopted_ = 0;
-  std::int64_t peak_adopted_ = 0;
 };
 
 }  // namespace hp::des

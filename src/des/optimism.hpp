@@ -126,6 +126,8 @@ class OptimismController {
   std::uint32_t interval() const noexcept { return interval_; }
   std::uint32_t idle_backoff() const noexcept { return idle_backoff_; }
   std::uint64_t processed_since_commit() const noexcept { return processed_; }
+  // Live envelopes at which the PE blocks (unreachable without a budget).
+  std::int64_t hard_mark() const noexcept { return hard_; }
 
  private:
   static constexpr std::int64_t kNoMark =

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <optional>
 #include <thread>
+#include <utility>
 
 #include "obs/telemetry.hpp"
 #include "util/failure.hpp"
@@ -112,7 +114,7 @@ class TimeWarpEngine::TwCtx final : public Context {
       }
     }
     cur_->children.push_back(ChildRef{ev->key, ev->uid, ph, ev});
-    const std::uint32_t dst_pe = e_.own_.pe_of_lp(ev->key.dst_lp);
+    const std::uint32_t dst_pe = e_.lp_pe_[ev->key.dst_lp];
     if (dst_pe == pe_.id) {
       // Local delivery may roll back a sibling KP that ran ahead; see the
       // header notes. Never touches the currently executing KP because the
@@ -173,16 +175,6 @@ TimeWarpEngine::TimeWarpEngine(Model& model, EngineConfig cfg)
     mapping_ = owned_mapping_.get();
   }
 
-  states_.reserve(cfg_.num_lps);
-  rngs_.reserve(cfg_.num_lps);
-  lp_kp_.resize(cfg_.num_lps);
-  for (std::uint32_t lp = 0; lp < cfg_.num_lps; ++lp) {
-    states_.push_back(model_.make_state(lp));
-    rngs_.emplace_back(util::hash_combine(cfg_.seed, lp));
-    lp_kp_[lp] = mapping_->kp_of(lp);
-    HP_ASSERT(lp_kp_[lp] < cfg_.num_kps, "mapping returned KP out of range");
-  }
-
   kps_.resize(cfg_.num_kps);
   pes_.reserve(cfg_.num_pes);
   for (std::uint32_t pe = 0; pe < cfg_.num_pes; ++pe) {
@@ -193,11 +185,23 @@ TimeWarpEngine::TimeWarpEngine(Model& model, EngineConfig cfg)
         OptimismController(cfg_.gvt_interval_events, cfg_.optimism_window,
                            cfg_.pool_budget_envelopes);
   }
-  // The live ownership table starts as a copy of the mapping; KP migration
-  // is the only thing that ever rewrites it.
-  own_.reset(*mapping_);
+  std::vector<std::uint32_t> kp_pe(cfg_.num_kps);
   for (std::uint32_t kp = 0; kp < cfg_.num_kps; ++kp) {
-    pes_[own_.pe_of_kp(kp)]->kps.push_back(kp);
+    kp_pe[kp] = mapping_->pe_of_kp(kp);
+    HP_ASSERT(kp_pe[kp] < cfg_.num_pes, "mapping returned PE out of range");
+    pes_[kp_pe[kp]]->kps.push_back(kp);
+  }
+
+  states_.reserve(cfg_.num_lps);
+  rngs_.reserve(cfg_.num_lps);
+  lp_kp_.resize(cfg_.num_lps);
+  lp_pe_.resize(cfg_.num_lps);
+  for (std::uint32_t lp = 0; lp < cfg_.num_lps; ++lp) {
+    states_.push_back(model_.make_state(lp));
+    rngs_.emplace_back(util::hash_combine(cfg_.seed, lp));
+    lp_kp_[lp] = mapping_->kp_of(lp);
+    HP_ASSERT(lp_kp_[lp] < cfg_.num_kps, "mapping returned KP out of range");
+    lp_pe_[lp] = kp_pe[lp_kp_[lp]];
   }
 
   for (std::uint32_t pe = 0; pe < cfg_.num_pes; ++pe) {
@@ -213,7 +217,7 @@ Event* TwEngineInitCtx::prepare_schedule_(std::uint32_t dst_lp, Time ts) {
   HP_ASSERT(dst_lp < e_.cfg_.num_lps, "schedule to out-of-range LP %u", dst_lp);
   // Root events are allocated from the destination PE's pool: pre-run is
   // single-threaded, so this is safe and keeps pool ownership tidy.
-  TimeWarpEngine::PeData& pe = *e_.pes_[e_.own_.pe_of_lp(dst_lp)];
+  TimeWarpEngine::PeData& pe = *e_.pes_[e_.lp_pe_[dst_lp]];
   Event* ev = pe.pool.allocate();
   const std::uint64_t root = util::hash_combine(seed_, lp_);
   ev->key = EventKey{ts, util::hash_combine(root, idx_), lp_, dst_lp, idx_};
@@ -228,7 +232,7 @@ Event* TwEngineInitCtx::prepare_schedule_(std::uint32_t dst_lp, Time ts) {
 }
 
 void TwEngineInitCtx::commit_schedule_(Event* ev) {
-  e_.deliver(*e_.pes_[e_.own_.pe_of_lp(ev->key.dst_lp)], ev);
+  e_.deliver(*e_.pes_[e_.lp_pe_[ev->key.dst_lp]], ev);
 }
 
 void TimeWarpEngine::seed_initial_events() {
@@ -240,12 +244,6 @@ void TimeWarpEngine::seed_initial_events() {
 }
 
 void TimeWarpEngine::deliver(PeData& pe, Event* ev) {
-  // Migration protocol invariant: handoffs only happen with every inbox
-  // quiescent and all routing reads the live table, so an envelope can never
-  // land at a PE that no longer owns its KP.
-  HP_ASSERT(!mig_on_ || own_.pe_of_kp(ev->kp) == pe.id,
-            "PE %u: delivered event for KP %u owned by PE %u", pe.id, ev->kp,
-            own_.pe_of_kp(ev->kp));
   // Every envelope is delivered exactly once, so anything but InFlight here
   // is an envelope already sitting in a pending set or processed deque.
   HP_ASSERT(ev->status == EventStatus::InFlight,
@@ -270,7 +268,7 @@ void TimeWarpEngine::deliver(PeData& pe, Event* ev) {
     const std::uint32_t src = ev->key.src_lp;
     rollback(pe, ev->kp, ev->key,
              obs::RollbackCause{obs::RollbackKind::Primary, lp_kp_[src],
-                                own_.pe_of_lp(src), pe.cascade_ctx + 1,
+                                lp_pe_[src], pe.cascade_ctx + 1,
                                 ev->send_wall_ns});
   }
   ev->status = EventStatus::Pending;
@@ -366,10 +364,6 @@ void TimeWarpEngine::annihilate(PeData& pe, Event* ev, std::uint64_t uid,
   pe.pool.free(ev);
 }
 
-// Cancellation routes through the live ownership table: a KP migration
-// between the send and the cancellation re-homes the victim, and the
-// handoff's full quiescence guarantees the positive is settled at the
-// current owner before any post-handoff anti can chase it there.
 void TimeWarpEngine::cancel_stale(PeData& pe, Event* ev) {
   if (!ev->has_stale_children()) return;
   auto& stale = ev->cold_block->stale_children;
@@ -400,21 +394,12 @@ void TimeWarpEngine::cancel_refs(PeData& pe, const ChildRef* refs,
   util::SmallVec<Event*, 8> victims;
   for (std::size_t i = 0; i < n; ++i) {
     const ChildRef& c = refs[i];
-    const std::uint32_t dst = own_.pe_of_lp(c.key.dst_lp);
+    const std::uint32_t dst = lp_pe_[c.key.dst_lp];
     if (dst != pe.id) {
       send_anti(pe, c, dst);
       continue;
     }
     Event* v = c.ev;
-    if (HP_UNLIKELY(chaos_) && live_ref(v, c.uid) &&
-        v->status == EventStatus::InFlight) {
-      // Chaos x migration: the victim was delay-parked at a previous owner
-      // and migrated here inside the holdback buffer, never delivered.
-      HP_ASSERT(chaos_kill_held(pe, v),
-                "PE %u: local cancellation uid %llu found no positive",
-                pe.id, static_cast<unsigned long long>(c.uid));
-      continue;
-    }
     // Local sends deliver synchronously, so the parent's send happened (and
     // was delivered) before this cancellation.
     HP_ASSERT(delivered_ref(v, c.uid),
@@ -581,8 +566,7 @@ void TimeWarpEngine::drain_inbox(PeData& pe) {
       const std::uint64_t send_wall_ns = ev->send_wall_ns;
       pe.pool.free(ev);
       pe.cascade_ctx = inducing_cascade;
-      annihilate(pe, victim, uid, lp_kp_[src], own_.pe_of_lp(src),
-                 send_wall_ns);
+      annihilate(pe, victim, uid, lp_kp_[src], lp_pe_[src], send_wall_ns);
       pe.cascade_ctx = 0;
     } else {
       deliver(pe, ev);
@@ -689,7 +673,7 @@ void TimeWarpEngine::chaos_deliver_anti(PeData& pe, Event* anti) {
     return;
   }
   pe.cascade_ctx = inducing_cascade;
-  annihilate(pe, victim, uid, lp_kp_[src], own_.pe_of_lp(src), send_wall_ns);
+  annihilate(pe, victim, uid, lp_kp_[src], lp_pe_[src], send_wall_ns);
   pe.cascade_ctx = 0;
 }
 
@@ -715,41 +699,39 @@ void TimeWarpEngine::chaos_release(PeData& pe, bool all) {
     pe.chaos_held.clear();
     return;
   }
-  // Deliver due envelopes one at a time, removing each from the buffer only
-  // at the moment it is delivered. Batching the due set into a side list
-  // would hide it from chaos_kill_held — and a delivery here can trigger a
-  // rollback whose (local, post-migration) cancellations must be able to
-  // find and kill a due-but-undelivered positive. Each delivery may erase
-  // arbitrary entries (annihilate-in-holdback), so restart the scan after
-  // every one; the earliest remaining due envelope always goes next, which
-  // preserves the pre-existing in-order release semantics.
-  for (std::size_t i = 0; i < pe.chaos_held.size();) {
-    if (pe.chaos_held[i].release_round > pe.local_rounds) {
-      ++i;
-      continue;
-    }
-    Event* ev = pe.chaos_held[i].ev;
-    pe.chaos_held.erase(pe.chaos_held.begin() + static_cast<std::ptrdiff_t>(i));
-    if (ev->is_anti) {
-      chaos_deliver_anti(pe, ev);
+  // Deliver due envelopes in holdback order and keep the rest. A delivery
+  // can roll back and cancel, but a local cancellation only reaches a
+  // delivered positive (local sends deliver synchronously) and a held anti
+  // is a dup-anti copy that resolves as stale, so nothing a delivery
+  // triggers touches the holdback.
+  auto& held = pe.chaos_held;
+  const std::size_t n = held.size();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const PeData::HeldEnvelope h = held[i];
+    if (h.release_round > pe.local_rounds) {
+      held[kept++] = h;
+    } else if (h.ev->is_anti) {
+      chaos_deliver_anti(pe, h.ev);
     } else {
-      deliver(pe, ev);
+      deliver(pe, h.ev);
     }
-    i = 0;
   }
+  HP_ASSERT(held.size() == n,
+            "PE %u: delivering held envelopes changed the holdback (%zu -> "
+            "%zu)",
+            pe.id, n, held.size());
+  held.resize(kept);
 }
 
-// Same restart-the-scan discipline as chaos_release: a delivery can trigger
-// cancellations that erase arbitrary holdback entries, so take one envelope
-// off the front at a time until the buffer is empty.
+// Delivers in holdback order; see chaos_release for why no delivery touches
+// the holdback.
 void TimeWarpEngine::chaos_deliver_all_held(PeData& pe) {
-  while (!pe.chaos_held.empty()) {
-    Event* ev = pe.chaos_held.front().ev;
-    pe.chaos_held.erase(pe.chaos_held.begin());
-    if (ev->is_anti) {
-      chaos_deliver_anti(pe, ev);
+  for (const PeData::HeldEnvelope& h : std::exchange(pe.chaos_held, {})) {
+    if (h.ev->is_anti) {
+      chaos_deliver_anti(pe, h.ev);
     } else {
-      deliver(pe, ev);
+      deliver(pe, h.ev);
     }
   }
 }
@@ -859,9 +841,6 @@ void TimeWarpEngine::process_one(PeData& pe, Event* ev) {
   // are dead for real now.
   if (ev->has_stale_children()) cancel_stale(pe, ev);
   ++pe.metrics.at(Counter::Processed);
-  // Candidate heat for the migration planner: per-KP forward executions
-  // since the last decision round (each element touched only by the owner).
-  if (HP_UNLIKELY(mig_on_)) ++kp_processed_[ev->kp];
 }
 
 void TimeWarpEngine::fossil_collect(PeData& pe, Time gvt) {
@@ -903,21 +882,6 @@ void TimeWarpEngine::publish_slice(PeData& pe, std::uint64_t inbox_depth) {
   sl.pool_bytes = pe.pool.pool_bytes();
   sl.throttled = pe.opt.flow() == OptimismController::FlowState::Throttled;
   sl.blocked = pe.opt.flow() == OptimismController::FlowState::Blocked;
-  if (HP_UNLIKELY(mig_on_)) {
-    // Publish this PE's hottest owned KP since the previous decision round
-    // so every PE can run the identical planner over the slices alone.
-    sl.owned_kps = static_cast<std::uint32_t>(pe.kps.size());
-    sl.has_cand = false;
-    sl.mig_cand_kp = 0;
-    sl.mig_cand_score = 0;
-    for (std::uint32_t kp_id : pe.kps) {
-      if (kp_processed_[kp_id] > sl.mig_cand_score) {
-        sl.has_cand = true;
-        sl.mig_cand_kp = kp_id;
-        sl.mig_cand_score = kp_processed_[kp_id];
-      }
-    }
-  }
 }
 
 // Lower bound on everything this PE holds: the pending minimum and the fault
@@ -992,17 +956,6 @@ void TimeWarpEngine::commit_point(PeData& pe, Time gvt,
     for (const MonitorSlice& sl : mon_slices_) committed += sl.committed;
     if (committed >= ck_next_) checkpoint_round(pe, gvt);
   }
-  // Dynamic KP migration piggybacks on the round: every PE plans identically
-  // from the slices and the affected PEs execute the handoff in lockstep.
-  // round_moves is the engine-wide move count this round (identical on all
-  // PEs); only PE 0 records it in its series slice so the per-PE sum in
-  // run() yields the true total.
-  std::uint64_t round_moves = 0;
-  if (HP_UNLIKELY(mig_on_)) {
-    const std::uint64_t before = pe.mig_moves_total;
-    do_migration_round(pe, gvt);
-    round_moves = pe.mig_moves_total - before;
-  }
   // This PE's slice of the round sample; run() sums the slices per round.
   // Rounds are totally ordered and every PE applies every one, so
   // local_rounds agrees across PEs and the rings stay index-aligned.
@@ -1012,11 +965,11 @@ void TimeWarpEngine::commit_point(PeData& pe, Time gvt,
       pe.opt.processed_since_commit(), committed_delta, inbox_depth,
       pe.pool.allocated(),
       static_cast<std::uint64_t>(std::max<std::int64_t>(0, pe.pool.live())),
-      pe.id == 0 ? round_moves : 0, pe.pool.pool_bytes()});
+      pe.pool.pool_bytes()});
   if (pe.id == 0) {
     // PE 0 may read every slice until it reaches the next round's slice
     // writes itself (barrier A), so the heartbeat and the gauges follow the
-    // checkpoint and migration rounds.
+    // checkpoint round.
     if (monitor_ != nullptr &&
         ++mon_rounds_since_emit_ >= std::max(1u, cfg_.obs.monitor_interval)) {
       mon_rounds_since_emit_ = 0;
@@ -1089,30 +1042,6 @@ bool TimeWarpEngine::gvt_round(PeData& pe) {
   return gvt > cfg_.end_time;
 }
 
-// The GVT barrier guarantees everything sent is fully linked in some inbox,
-// but inboxes may be non-empty (the GVT walk is non-destructive) and
-// draining can roll back and send antis, so loop between barriers until a
-// full pass moves nothing anywhere. A PE votes for another pass when it
-// pushed anything or its inbox is still non-empty (a chaos batch-split can
-// abandon a drain mid-stream).
-template <class AfterDrain>
-void TimeWarpEngine::quiesce(PeData& pe, AfterDrain&& after_drain) {
-  while (true) {
-    bar_a_.arrive_and_wait();
-    if (pe.id == 0) quiesce_again_.store(false, std::memory_order_relaxed);
-    bar_b_.arrive_and_wait();
-    drain_inbox(pe);
-    after_drain();
-    const bool sent = !pe.out_dirty.empty();
-    flush_outboxes(pe);
-    if (sent || !pe.inbox.empty_hint()) {
-      quiesce_again_.store(true, std::memory_order_relaxed);
-    }
-    bar_a_.arrive_and_wait();
-    if (!quiesce_again_.load(std::memory_order_relaxed)) break;
-  }
-}
-
 // Checkpoint at the GVT fence. Entered by every PE in the same round, after
 // fossil collection, so the committed prefix is exactly the events below
 // `gvt` and a cut "committed < {gvt,0,0,0,0} <= pending" exists once the
@@ -1124,10 +1053,15 @@ void TimeWarpEngine::quiesce(PeData& pe, AfterDrain&& after_drain) {
 //      machinery — reverse handlers, state-saving snapshots and lazy stale
 //      bookkeeping all behave exactly as they do for a straggler.
 //   2. Quiesce. The sweep's cancellations put anti tokens in flight, and a
-//      fault plan may still hold envelopes hostage. Run the quiesce loop,
-//      killing stale children in lazy mode and force-delivering the holdback
-//      after every drain, then assert the fence invariant: processed deques
-//      empty, holdback empty.
+//      fault plan may still hold envelopes hostage. The GVT barrier left
+//      every sent envelope fully linked in some inbox, but inboxes may be
+//      non-empty (the GVT walk is non-destructive) and draining can roll
+//      back and send antis, so loop between barriers — drain, kill stale
+//      children in lazy mode, force-deliver the holdback, flush — until a
+//      full pass moves nothing anywhere. A PE votes for another pass when it
+//      pushed anything or its inbox is still non-empty (a chaos batch-split
+//      can abandon a drain mid-stream). Then assert the fence invariant:
+//      processed deques empty, holdback empty.
 //   3. Serialize. Each PE drains its pending set (key order) into its
 //      stage; PE 0, with every other PE parked at the barrier, captures the
 //      globally-indexed LP states/RNG cursors plus all staged events and
@@ -1153,7 +1087,11 @@ void TimeWarpEngine::checkpoint_round(PeData& pe, Time gvt) {
   }
   flush_outboxes(pe);
 
-  quiesce(pe, [&] {
+  while (true) {
+    bar_a_.arrive_and_wait();
+    if (pe.id == 0) quiesce_again_.store(false, std::memory_order_relaxed);
+    bar_b_.arrive_and_wait();
+    drain_inbox(pe);
     if (cfg_.cancellation == EngineConfig::Cancellation::Lazy) {
       // Stale children are speculative sends of rolled-back executions kept
       // alive for reuse; they are not part of the state at the fence, so
@@ -1175,7 +1113,14 @@ void TimeWarpEngine::checkpoint_round(PeData& pe, Time gvt) {
       }
     }
     if (HP_UNLIKELY(chaos_)) chaos_deliver_all_held(pe);
-  });
+    const bool sent = !pe.out_dirty.empty();
+    flush_outboxes(pe);
+    if (sent || !pe.inbox.empty_hint()) {
+      quiesce_again_.store(true, std::memory_order_relaxed);
+    }
+    bar_a_.arrive_and_wait();
+    if (!quiesce_again_.load(std::memory_order_relaxed)) break;
+  }
 
   for (std::uint32_t kp_id : pe.kps) {
     HP_ASSERT(kps_[kp_id].processed.empty(),
@@ -1286,11 +1231,6 @@ void TimeWarpEngine::emit_monitor_record(std::uint64_t round_idx, Time gvt) {
   s.pool_bytes = pool_bytes;
   s.throttled_pes = throttled_pes;
   s.blocked_pes = blocked_pes;
-  // PE 0 reads its own migration replica and the table epoch; both are only
-  // written inside migration handoffs, which are barrier-separated from this
-  // emit (and PE 0 writes them itself), so the reads race with nothing.
-  s.kp_migrations = pes_[0]->mig_moves_total;
-  s.mapping_epoch = own_.epoch();
   if (HP_UNLIKELY(telemetry_)) {
     s.has_commit_latency = true;
     s.commit_latency_p99_us =
@@ -1300,143 +1240,6 @@ void TimeWarpEngine::emit_monitor_record(std::uint64_t round_idx, Time gvt) {
   mon_last_processed_ = processed;
   mon_last_rolled_back_ = rolled_back;
   mon_last_ns_ = now;
-}
-
-// Dynamic KP migration round. Called by every PE from commit_point once the
-// round's GVT is agreed, so the round index and the global minimum are
-// replicated knowledge. The protocol:
-//
-//   1. Plan. Every PE runs the same pure planner (des/migration.hpp) over
-//      the same replicated inputs — the round slices plus its own snapshots
-//      of every PE's counters at the previous decision round — so all PEs
-//      compute an identical plan with no communication. An empty plan means
-//      no barriers at all this round.
-//   2. Quiesce. Run the quiesce loop: after it, no envelope is in flight —
-//      every positive is settled at its KP's current owner, which is what
-//      makes the live-table re-routing of later anti-messages sound.
-//   3. Extract / integrate. The source pulls the moved KP's pending events
-//      and chaos-held envelopes into a per-KP staging area; after a barrier
-//      the destination adopts them, flips the ownership entry (distinct KPs,
-//      disjoint writes) and the exit barrier publishes the new table before
-//      anybody routes again. The KP's processed deque and its LP states/RNG
-//      streams are globally indexed and transfer by the ownership flip
-//      alone. ChildRefs into the moved envelopes stay valid: envelopes move
-//      by pointer, and only the new owner dereferences them afterwards.
-//
-// Committed results are bit-identical with migration on or off at any
-// cadence: the event ordering key is model-derived and placement-
-// independent, so only delivery locality changes — never event order.
-void TimeWarpEngine::do_migration_round(PeData& pe, Time gvt) {
-  const MigrationConfig& mc = cfg_.migration;
-  // Cadence off the barrier-global round counter: every PE takes this branch
-  // identically, so the barriers below always pair up.
-  if ((pe.local_rounds + 1) % mc.interval_rounds != 0) return;
-  if (gvt > cfg_.end_time) return;  // run is over; nothing left to balance
-
-  std::vector<PeLoad> loads(cfg_.num_pes);
-  for (std::uint32_t p = 0; p < cfg_.num_pes; ++p) {
-    const MonitorSlice& sl = mon_slices_[p];
-    PeLoad& ld = loads[p];
-    ld.processed_delta = sl.processed - pe.mig_prev_processed[p];
-    ld.rolled_back_delta = sl.rolled_back - pe.mig_prev_rolled_back[p];
-    ld.pool_live = sl.pool_live;
-    ld.owned_kps = sl.owned_kps;
-    ld.has_candidate = sl.has_cand;
-    ld.candidate_kp = sl.mig_cand_kp;
-    ld.candidate_score = sl.mig_cand_score;
-    pe.mig_prev_processed[p] = sl.processed;
-    pe.mig_prev_rolled_back[p] = sl.rolled_back;
-  }
-  const std::vector<KpMove> plan =
-      plan_migrations(mc, loads, own_.kp_owner(), pe.mig_decisions++);
-  if (plan.empty()) {
-    // Identical empty plan on every PE: restart the heat window and return
-    // without ever touching a barrier.
-    for (std::uint32_t kp_id : pe.kps) kp_processed_[kp_id] = 0;
-    return;
-  }
-
-  obs::PhaseScope phase(pe.probe, Phase::Migrate);
-
-  quiesce(pe, [] {});
-
-  // Extract. Pending events of the moving KPs leave the pending queue (one
-  // pass that pops everything and re-inserts the stayers); processed events
-  // stay on the KP's global deque; chaos-held envelopes bound for the KP
-  // travel with their release round (the round counter is barrier-global,
-  // so it means the same thing at the destination). The live-envelope
-  // accounting moves with the events — processed ones included, since the
-  // new owner frees them at fossil time — so the flow-control watermarks
-  // keep tracking each PE's own outstanding work.
-  std::vector<std::uint32_t> out_kps;
-  for (const KpMove& mv : plan) {
-    if (mv.src_pe == pe.id) out_kps.push_back(mv.kp);
-  }
-  if (!out_kps.empty()) {
-    std::vector<Event*> stay;
-    while (Event* ev = pe.pending.pop_min()) {
-      if (std::find(out_kps.begin(), out_kps.end(), ev->kp) != out_kps.end()) {
-        mig_stage_[ev->kp].push_back(ev);
-      } else {
-        stay.push_back(ev);
-      }
-    }
-    for (Event* ev : stay) pe.pending.insert(ev);
-  }
-  for (const KpMove& mv : plan) {
-    if (mv.src_pe != pe.id) continue;
-    std::uint64_t moved_here =
-        mig_stage_[mv.kp].size() + kps_[mv.kp].processed.size();
-    if (HP_UNLIKELY(chaos_) && !pe.chaos_held.empty()) {
-      auto& held = pe.chaos_held;
-      std::size_t w = 0;
-      for (std::size_t r = 0; r < held.size(); ++r) {
-        // A duplicate anti's cached kp field is unset; derive the target KP
-        // from the key, which is correct for positives and antis alike.
-        if (lp_kp_[held[r].ev->key.dst_lp] == mv.kp) {
-          mig_stage_held_[mv.kp].push_back(held[r]);
-          ++moved_here;
-        } else {
-          held[w++] = held[r];
-        }
-      }
-      held.resize(w);
-    }
-    pe.kps.erase(std::find(pe.kps.begin(), pe.kps.end(), mv.kp));
-    pe.pool.adjust_live(-static_cast<std::int64_t>(moved_here));
-    ++pe.metrics.at(Counter::Migrations);
-    pe.metrics.at(Counter::MigratedEvents) += moved_here;
-  }
-  bar_b_.arrive_and_wait();
-
-  // Integrate, then flip ownership. Distinct KPs mean every write here is
-  // disjoint across PEs; the exit barrier publishes the flips before any PE
-  // routes an envelope again.
-  for (const KpMove& mv : plan) {
-    if (mv.dst_pe != pe.id) continue;
-    std::vector<Event*>& stage = mig_stage_[mv.kp];
-    std::int64_t adopted = static_cast<std::int64_t>(
-        stage.size() + kps_[mv.kp].processed.size());
-    for (Event* ev : stage) pe.pending.insert(ev);
-    stage.clear();
-    std::vector<PeData::HeldEnvelope>& held = mig_stage_held_[mv.kp];
-    adopted += static_cast<std::int64_t>(held.size());
-    for (const PeData::HeldEnvelope& h : held) pe.chaos_held.push_back(h);
-    held.clear();
-    pe.kps.push_back(mv.kp);
-    own_.set_kp_owner(mv.kp, pe.id);
-    pe.pool.adjust_live(adopted);
-  }
-  if (pe.id == 0) {
-    own_.bump_epoch();
-    ++pe.metrics.at(Counter::MigrationRounds);
-  }
-  pe.mig_moves_total += plan.size();
-  bar_a_.arrive_and_wait();
-
-  // Restart the heat window under the new ownership (each element is now
-  // touched only by its new owner; the barrier above published the flip).
-  for (std::uint32_t kp_id : pe.kps) kp_processed_[kp_id] = 0;
 }
 
 void TimeWarpEngine::run_pe(PeData& pe) {
@@ -1506,7 +1309,7 @@ RunStats TimeWarpEngine::run() {
   }
   // A restored run starts from the image's committed cut instead of the
   // model's initial events: LP states + RNG cursors verbatim, and every
-  // pending event re-routed through the ownership table with a fresh
+  // pending event routed to its LP's PE with a fresh
   // init-space uid (anti-message identity is meaningless across the cut —
   // nothing that could cancel a restored event survives it).
   CheckpointImage restore_image;
@@ -1523,7 +1326,7 @@ RunStats TimeWarpEngine::run() {
     }
     std::uint64_t restore_uid = 0;
     for (const CheckpointEventRecord& rec : restore_image.events) {
-      PeData& dst = *pes_[own_.pe_of_lp(rec.key.dst_lp)];
+      PeData& dst = *pes_[lp_pe_[rec.key.dst_lp]];
       Event* ev = dst.pool.allocate();
       ev->key = rec.key;
       ev->uid = ++restore_uid;  // init space: disjoint from PE-minted uids
@@ -1552,6 +1355,25 @@ RunStats TimeWarpEngine::run() {
             "pool_budget_envelopes=%llu is below the minimum of 16 envelopes "
             "per PE",
             static_cast<unsigned long long>(cfg_.pool_budget_envelopes));
+  // A budget whose hard mark the seeded envelopes already reach cannot be
+  // held: that PE starts blocked and runs only at-GVT events until fossil
+  // collection sheds enough, so the run crawls. Name the fullest such PE.
+  const PeData* over = nullptr;
+  for (const auto& pe : pes_) {
+    if (pe->pool.live() >= pe->opt.hard_mark() &&
+        (over == nullptr || pe->pool.live() > over->pool.live())) {
+      over = pe.get();
+    }
+  }
+  if (over != nullptr) {
+    std::fprintf(stderr,
+                 "warning: pool budget of %llu envelopes per PE is below the "
+                 "seeded working set: PE %u holds %lld envelopes before the "
+                 "first event (hard mark %lld), so it starts blocked\n",
+                 static_cast<unsigned long long>(cfg_.pool_budget_envelopes),
+                 over->id, static_cast<long long>(over->pool.live()),
+                 static_cast<long long>(over->opt.hard_mark()));
+  }
   if (chaos_) {
     HP_ASSERT(cfg_.fault.stall_rounds == 0 ||
                   cfg_.fault.stall_pe == FaultPlan::kNoStallPe ||
@@ -1574,31 +1396,13 @@ RunStats TimeWarpEngine::run() {
       pe->chaos_run.reserve(kChaosReorderWindow);
     }
   }
-  mig_on_ = cfg_.migration.enabled && cfg_.num_pes > 1;
-  if (mig_on_) {
-    HP_ASSERT(cfg_.migration.interval_rounds >= 1 &&
-                  cfg_.migration.max_moves >= 1 &&
-                  cfg_.migration.imbalance_threshold >= 1.0,
-              "invalid migration config (every=%u max=%u imbalance=%g)",
-              cfg_.migration.interval_rounds, cfg_.migration.max_moves,
-              cfg_.migration.imbalance_threshold);
-    kp_processed_.assign(cfg_.num_kps, 0);
-    mig_stage_.assign(cfg_.num_kps, {});
-    mig_stage_held_.assign(cfg_.num_kps, {});
-    for (auto& pe : pes_) {
-      pe->mig_prev_processed.assign(cfg_.num_pes, 0);
-      pe->mig_prev_rolled_back.assign(cfg_.num_pes, 0);
-      pe->mig_decisions = 0;
-      pe->mig_moves_total = 0;
-    }
-  }
   ck_on_ = cfg_.checkpoint.enabled();
   if (ck_on_) {
     ck_stage_.assign(cfg_.num_pes, {});
     ck_next_ = (ck_base_committed_ / cfg_.checkpoint.every + 1) *
                cfg_.checkpoint.every;
   }
-  slices_on_ = cfg_.obs.monitor || mig_on_ || telemetry_ || ck_on_;
+  slices_on_ = cfg_.obs.monitor || telemetry_ || ck_on_;
   if (cfg_.obs.monitor) {
     monitor_ = std::make_unique<obs::MonitorWriter>(cfg_.obs.monitor_path);
   }
@@ -1662,8 +1466,8 @@ RunStats TimeWarpEngine::run() {
     pe->metrics.at(Counter::PoolEnvelopes) = pe->pool.allocated();
     pe->metrics.at(Counter::PoolLiveEnvelopes) = static_cast<std::uint64_t>(
         std::max<std::int64_t>(0, pe->pool.live()));
-    // peak_live only ratchets up from 0 inside allocate() (migration
-    // adoptions are tracked separately as peak_adopted), so no clamp needed.
+    // peak_live only ratchets up from 0 inside allocate(), so no clamp
+    // needed.
     pe->metrics.at(Counter::PoolPeakLive) =
         static_cast<std::uint64_t>(pe->pool.peak_live());
     pe->metrics.at(Counter::PoolSlabs) = pe->pool.slabs_allocated();
@@ -1717,7 +1521,6 @@ RunStats TimeWarpEngine::run() {
       series[i].inbox_depth += other[i].inbox_depth;
       series[i].pool_envelopes += other[i].pool_envelopes;
       series[i].pool_live += other[i].pool_live;
-      series[i].migrations += other[i].migrations;
       series[i].pool_bytes += other[i].pool_bytes;
     }
   }

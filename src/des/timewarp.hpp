@@ -153,26 +153,14 @@ class TimeWarpEngine final : public Engine {
     };
     std::vector<HeldEnvelope> chaos_held;
     std::vector<Event*> chaos_run;
-
-    // Dynamic KP migration (active only when cfg.migration.enabled).
-    // Every PE runs the same pure planner over the same replicated inputs
-    // (the round slices plus these snapshots of every PE's cumulative
-    // counters at the previous decision round), so all PEs compute an
-    // identical plan with no extra communication. mig_decisions counts
-    // decision rounds (the forced-mode rotation index); mig_moves_total is
-    // this PE's replicated count of KP moves executed engine-wide.
-    std::vector<std::uint64_t> mig_prev_processed;
-    std::vector<std::uint64_t> mig_prev_rolled_back;
-    std::uint64_t mig_decisions = 0;
-    std::uint64_t mig_moves_total = 0;
   };
 
   // One cache line per PE of per-round state, written between GVT barriers A
   // and B and read after barrier B — by PE 0 for the monitor heartbeat and
-  // gauges, and by every PE for the checkpoint trigger and the migration
-  // planner. The reads race with nothing: a writer only touches its slice
-  // after the *next* barrier A, which cannot complete until every reader has
-  // finished the current round and arrived at it.
+  // gauges, and by every PE for the checkpoint trigger. The reads race with
+  // nothing: a writer only touches its slice after the *next* barrier A,
+  // which cannot complete until every reader has finished the current round
+  // and arrived at it.
   struct alignas(64) MonitorSlice {
     std::uint64_t processed = 0;    // cumulative forward executions
     std::uint64_t rolled_back = 0;  // cumulative events undone
@@ -188,14 +176,6 @@ class TimeWarpEngine final : public Engine {
     std::uint64_t pool_bytes = 0;
     bool throttled = false;
     bool blocked = false;
-    // Dynamic KP migration: the PE's hottest owned KP since the previous
-    // decision round (the planner's move candidate) and how many KPs it
-    // currently owns. Published only on decision rounds when migration is
-    // armed; zero otherwise.
-    bool has_cand = false;
-    std::uint32_t mig_cand_kp = 0;
-    std::uint64_t mig_cand_score = 0;
-    std::uint32_t owned_kps = 0;
   };
 
   class TwCtx;
@@ -230,9 +210,7 @@ class TimeWarpEngine final : public Engine {
   // flush_outboxes publishes every staged chain, one push per destination.
   void stage_remote(PeData& pe, std::uint32_t dst_pe, Event* ev);
   void flush_outboxes(PeData& pe);
-  // `dst_pe` is the victim's *current* owner, looked up in own_ by the
-  // caller (KP migration can move the victim between the send and the
-  // cancellation).
+  // `dst_pe` is the victim's owner, looked up in lp_pe_ by the caller.
   void send_anti(PeData& pe, const ChildRef& c, std::uint32_t dst_pe);
   // Kill the delivered positive `ev` named by a remote anti token (`uid` is
   // the token's copy, checked against the envelope). `offender_kp`/
@@ -259,9 +237,9 @@ class TimeWarpEngine final : public Engine {
   bool gvt_round(PeData& pe);
   // The commit point, reached by every PE from gvt_round after barrier B
   // with the round's GVT. Runs fossil collection, the progress beacon, the
-  // chaos stall counter, the checkpoint and migration rounds, the
-  // GvtRoundSample push, PE 0's monitor record and gauges, and last the
-  // optimism controller's commit step (interval, window, horizon).
+  // chaos stall counter, the checkpoint round, the GvtRoundSample push,
+  // PE 0's monitor record and gauges, and last the optimism controller's
+  // commit step (interval, window, horizon).
   void commit_point(PeData& pe, Time gvt, std::uint64_t inbox_depth);
   // Engine-global side effects of a new GVT (round count, shared GVT,
   // watchdog heart), taken by PE 0 once per round.
@@ -270,23 +248,14 @@ class TimeWarpEngine final : public Engine {
   Time held_min(PeData& pe);
   // Fill this PE's MonitorSlice (between barriers A and B of a round).
   void publish_slice(PeData& pe, std::uint64_t inbox_depth);
-  // Quiesce loop of the checkpoint and migration rounds: drain, run the
-  // caller's `after_drain`, flush and vote, between barriers, until a full
-  // pass moves nothing on any PE (quiesce_again_ is the vote flag).
-  template <class AfterDrain>
-  void quiesce(PeData& pe, AfterDrain&& after_drain);
   // Checkpoint at the GVT fence, entered from commit_point by every PE in the
-  // same round (the trigger reads only replicated slice data): roll
-  // every owned KP back to {gvt,0,0,0,0}, quiesce the traffic the sweep put
-  // in flight, drain pending into the per-PE stage, PE 0 serializes while
-  // the others park at a barrier, then everybody reinserts and resumes.
+  // same round (the trigger reads only replicated slice data): roll every
+  // owned KP back to {gvt,0,0,0,0}, quiesce the traffic the sweep put in
+  // flight (drain, flush and vote between barriers until a full pass moves
+  // nothing on any PE; quiesce_again_ is the vote flag), drain pending into
+  // the per-PE stage, PE 0 serializes while the others park at a barrier,
+  // then everybody reinserts and resumes.
   void checkpoint_round(PeData& pe, Time gvt);
-  // Dynamic KP migration, called from commit_point once the global minimum
-  // is known: every PE plans identically from the round slices, then the
-  // affected PEs execute the stop-the-world handoff (quiescence loop,
-  // extract, integrate, ownership flip + epoch bump). No-op on rounds the
-  // planner is idle. `gvt` is this round's global minimum.
-  void do_migration_round(PeData& pe, Time gvt);
   // PE 0 only, from commit_point: aggregate the monitor slices and emit one
   // JSON-lines heartbeat record.
   void emit_monitor_record(std::uint64_t round_idx, Time gvt);
@@ -306,12 +275,11 @@ class TimeWarpEngine final : public Engine {
 
   std::vector<std::unique_ptr<LpState>> states_;
   std::vector<util::ReversibleRng> rngs_;
+  // LP -> PE routing, filled once from the mapping at construction and
+  // immutable afterwards: remote sends, anti messages and the cancellation
+  // local/remote branch all read it.
+  std::vector<std::uint32_t> lp_pe_;
   std::vector<std::uint32_t> lp_kp_;
-  // Live KP/LP -> PE ownership. Seeded from the mapping; mutated only by KP
-  // migration between handoff barriers. All routing (remote sends, anti
-  // messages, cancellation local/remote branches) reads this table, never a
-  // cached placement, so envelopes always chase the current owner.
-  net::OwnershipTable own_;
 
   std::vector<KpData> kps_;
   std::vector<std::unique_ptr<PeData>> pes_;
@@ -324,7 +292,7 @@ class TimeWarpEngine final : public Engine {
   std::vector<Time> local_min_;  // indexed by PE, padded writes are fine here
   std::atomic<std::uint64_t> gvt_rounds_{0};
   std::atomic<Time> shared_gvt_{0.0};
-  std::atomic<bool> quiesce_again_{false};  // quiesce() vote flag
+  std::atomic<bool> quiesce_again_{false};  // checkpoint quiesce vote flag
   std::uint64_t epoch_ns_ = 0;  // run-start timestamp for series/trace
 
   // Stamp remote sends with wall time for trace flow events (only when
@@ -341,22 +309,9 @@ class TimeWarpEngine final : public Engine {
 
   // Fault injection (cfg.fault.any()); one predictable branch when false.
   bool chaos_ = false;
-  // Round slices are live when the monitor, telemetry gauges, migration or
+  // Round slices are live when the monitor, telemetry gauges or
   // checkpointing needs them.
   bool slices_on_ = false;
-
-  // Dynamic KP migration (cfg.migration.enabled && num_pes > 1). The per-KP
-  // processed counters feed candidate selection: each element is written
-  // only by the KP's owning PE and reset after a handoff under the new
-  // ownership, with the migration barriers publishing across the flip.
-  // mig_stage_/mig_stage_held_ are the handoff staging areas, indexed by KP:
-  // the source PE parks the KP's in-flight envelopes there during extract
-  // and the destination adopts them during integrate (disjoint KPs, barrier
-  // between the phases).
-  bool mig_on_ = false;
-  std::vector<std::uint64_t> kp_processed_;
-  std::vector<std::vector<Event*>> mig_stage_;
-  std::vector<std::vector<PeData::HeldEnvelope>> mig_stage_held_;
 
   // Checkpointing (cfg.checkpoint.enabled()). ck_next_ is the committed-count
   // threshold for the next image: written only by PE 0 between the barriers

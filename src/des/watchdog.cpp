@@ -104,7 +104,6 @@ const char* beacon_phase_name(BeaconPhase phase) noexcept {
     case BeaconPhase::Execute: return "execute";
     case BeaconPhase::GvtBarrier: return "gvt-barrier";
     case BeaconPhase::Fossil: return "fossil";
-    case BeaconPhase::Migration: return "migration";
     case BeaconPhase::Checkpoint: return "checkpoint";
     case BeaconPhase::Blocked: return "blocked";
     case BeaconPhase::Stalled: return "stalled";

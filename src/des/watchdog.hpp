@@ -55,7 +55,6 @@ enum class BeaconPhase : std::uint8_t {
   Execute,     // processing events
   GvtBarrier,  // parked in a GVT reduction barrier
   Fossil,      // committing + reclaiming behind GVT
-  Migration,   // KP migration quiesce/handoff
   Checkpoint,  // checkpoint fence rollback/quiesce/serialize
   Blocked,     // pool budget exhausted, waiting for fossil space
   Stalled,     // chaos-injected stall window

@@ -87,25 +87,6 @@ std::uint32_t RandomMapping::pe_of_kp(std::uint32_t kp) const noexcept {
   return kp * num_pes_ / num_kps_;
 }
 
-void OwnershipTable::reset(const Mapping& m) {
-  const std::uint32_t lps = m.num_lps();
-  const std::uint32_t kps = m.num_kps();
-  kp_pe_.resize(kps);
-  lp_pe_.resize(lps);
-  kp_lps_.assign(kps, {});
-  for (std::uint32_t kp = 0; kp < kps; ++kp) {
-    kp_pe_[kp] = m.pe_of_kp(kp);
-    HP_ASSERT(kp_pe_[kp] < m.num_pes(), "mapping returned PE out of range");
-  }
-  for (std::uint32_t lp = 0; lp < lps; ++lp) {
-    const std::uint32_t kp = m.kp_of(lp);
-    HP_ASSERT(kp < kps, "mapping returned KP out of range");
-    lp_pe_[lp] = kp_pe_[kp];
-    kp_lps_[kp].push_back(lp);
-  }
-  epoch_ = 0;
-}
-
 double inter_pe_link_fraction(const Mapping& m, std::int32_t n) {
   const Torus t(n);
   std::uint64_t cross = 0, total = 0;

@@ -99,56 +99,6 @@ class RandomMapping final : public Mapping {
   std::vector<std::uint32_t> lp_to_kp_;
 };
 
-// Mutable KP/LP -> PE ownership with a version epoch, seeded from a static
-// Mapping. The Time Warp kernel routes through this table instead of the
-// immutable Mapping so runtime KP migration can re-home a KP (and all its
-// LPs) in O(LPs-of-KP); `epoch` counts completed migration rounds so
-// diagnostics (and tests) can tell which table generation produced a
-// routing decision. The LP -> KP assignment never changes — a KP is the
-// migration granule.
-//
-// Thread-safety contract (matches the kernel's stop-the-world handoff):
-// set_kp_owner may be called concurrently for *distinct* KPs only, and only
-// while every reader is parked between the handoff barriers; bump_epoch is
-// single-writer. Plain loads/stores everywhere — the barriers publish.
-class OwnershipTable {
- public:
-  OwnershipTable() = default;
-
-  // Rebuild from a static mapping (initial placement).
-  void reset(const Mapping& m);
-
-  std::uint32_t num_kps() const noexcept {
-    return static_cast<std::uint32_t>(kp_pe_.size());
-  }
-  std::uint32_t num_lps() const noexcept {
-    return static_cast<std::uint32_t>(lp_pe_.size());
-  }
-
-  std::uint32_t pe_of_kp(std::uint32_t kp) const noexcept { return kp_pe_[kp]; }
-  std::uint32_t pe_of_lp(std::uint32_t lp) const noexcept { return lp_pe_[lp]; }
-  const std::vector<std::uint32_t>& kp_owner() const noexcept { return kp_pe_; }
-  // The LPs mapped to one KP (fixed for the run).
-  const std::vector<std::uint32_t>& lps_of_kp(std::uint32_t kp) const noexcept {
-    return kp_lps_[kp];
-  }
-
-  // Re-home one KP: rewrites the KP's entry and every one of its LPs'.
-  void set_kp_owner(std::uint32_t kp, std::uint32_t pe) noexcept {
-    kp_pe_[kp] = pe;
-    for (const std::uint32_t lp : kp_lps_[kp]) lp_pe_[lp] = pe;
-  }
-
-  std::uint64_t epoch() const noexcept { return epoch_; }
-  void bump_epoch() noexcept { ++epoch_; }
-
- private:
-  std::vector<std::uint32_t> kp_pe_;
-  std::vector<std::uint32_t> lp_pe_;
-  std::vector<std::vector<std::uint32_t>> kp_lps_;
-  std::uint64_t epoch_ = 0;
-};
-
 // Fraction of directed torus links whose endpoints live on different PEs —
 // the locality metric the block mapping is designed to minimize.
 double inter_pe_link_fraction(const Mapping& m, std::int32_t n);

@@ -92,7 +92,6 @@ void MetricsReport::write_json(util::JsonWriter& w) const {
     w.kv("pool_envelopes", s.pool_envelopes);
     w.kv("pool_live", s.pool_live);
     w.kv("pool_bytes", s.pool_bytes);
-    w.kv("migrations", s.migrations);
     w.end_object();
   }
   w.end_array();

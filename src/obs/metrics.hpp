@@ -47,7 +47,6 @@ enum class Phase : std::uint8_t {
   InboxDrain,  // popping the MPSC inbox, delivering remote events
   Idle,        // no executable work (window closed / starved / spinning)
   Throttled,   // optimism flow control capping this PE (soft/hard watermark)
-  Migrate,     // KP migration handoff: quiescence drain + state transfer
   Checkpoint,  // checkpoint fence rollback, quiescence and serialization
   GvtEpoch,    // never charged (always 0); perfbench/run.py reads its key
   kCount
@@ -63,7 +62,6 @@ constexpr const char* phase_name(Phase p) noexcept {
     case Phase::InboxDrain: return "inbox_drain";
     case Phase::Idle: return "idle";
     case Phase::Throttled: return "throttled";
-    case Phase::Migrate: return "migrate";
     case Phase::Checkpoint: return "checkpoint";
     case Phase::GvtEpoch: return "gvt_epoch";
     case Phase::kCount: break;
@@ -109,9 +107,6 @@ enum class Counter : std::uint8_t {
   ChaosDupAntis,       // fault injection: duplicated anti-message deliveries
   ChaosStaleAntis,     // antis that found no positive (chaos runs only)
   ChaosStallRounds,    // fault injection: GVT rounds spent stalled
-  Migrations,          // KP moves received by this PE (dynamic balancing)
-  MigratedEvents,      // live envelopes handed over across those moves
-  MigrationRounds,     // GVT rounds that executed a migration handoff
   TelemetryDropped,    // latency samples dropped on telemetry-ring overflow
   Checkpoints,         // checkpoint images written (PE 0 / sequential only)
   kCount
@@ -159,9 +154,6 @@ inline constexpr std::array<CounterDef, kNumCounters> kCounterDefs{{
     {"chaos_dup_antis", Reduce::Sum},
     {"chaos_stale_antis", Reduce::Sum},
     {"chaos_stall_rounds", Reduce::Sum},
-    {"kp_migrations", Reduce::Sum},
-    {"migrated_events", Reduce::Sum},
-    {"migration_rounds", Reduce::Sum},
     {"telemetry_dropped", Reduce::Sum},
     {"checkpoints_written", Reduce::Sum},
 }};
@@ -222,9 +214,6 @@ struct PeMetrics {
   std::uint64_t throttle_entries() const noexcept { return at(Counter::ThrottleEntries); }
   std::uint64_t throttle_exits() const noexcept { return at(Counter::ThrottleExits); }
   std::uint64_t hard_blocks() const noexcept { return at(Counter::HardBlocks); }
-  std::uint64_t kp_migrations() const noexcept { return at(Counter::Migrations); }
-  std::uint64_t migrated_events() const noexcept { return at(Counter::MigratedEvents); }
-  std::uint64_t migration_rounds() const noexcept { return at(Counter::MigrationRounds); }
   std::uint64_t telemetry_dropped() const noexcept { return at(Counter::TelemetryDropped); }
   std::uint64_t checkpoints_written() const noexcept { return at(Counter::Checkpoints); }
 
@@ -247,7 +236,6 @@ struct GvtRoundSample {
   std::uint64_t inbox_depth = 0;    // envelopes seen in inboxes at barrier B
   std::uint64_t pool_envelopes = 0; // envelope storage capacity so far
   std::uint64_t pool_live = 0;      // outstanding envelopes at this round
-  std::uint64_t migrations = 0;     // KP moves executed this round
   std::uint64_t pool_bytes = 0;     // slab bytes owned by the pool(s)
 
   // Fraction of the round's optimism that survived; can exceed 1 when older

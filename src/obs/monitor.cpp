@@ -45,8 +45,6 @@ void MonitorWriter::emit(const MonitorSample& s) {
     w.kv("pool_bytes", s.pool_bytes);
     w.kv("throttled_pes", s.throttled_pes);
     w.kv("blocked_pes", s.blocked_pes);
-    w.kv("kp_migrations", s.kp_migrations);
-    w.kv("mapping_epoch", s.mapping_epoch);
     if (s.has_commit_latency) {
       w.kv("commit_latency_p99_us", s.commit_latency_p99_us);
     }

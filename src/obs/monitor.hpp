@@ -48,11 +48,6 @@ struct MonitorSample {
   std::uint64_t pool_bytes = 0;
   std::uint32_t throttled_pes = 0;
   std::uint32_t blocked_pes = 0;
-  // Dynamic KP migration (all zero when EngineConfig::migration is off):
-  // cumulative KP moves across all PEs as of the previous round's slices,
-  // and the ownership-table version (bumped once per migration round).
-  std::uint64_t kp_migrations = 0;
-  std::uint64_t mapping_epoch = 0;
   // Latency telemetry (ObsConfig::telemetry): aggregate p99 of the
   // deliver->GVT-commit latency so far, in microseconds. Emitted only when
   // has_commit_latency is set (telemetry off keeps old streams unchanged).

@@ -1,5 +1,5 @@
 // The fc::FlowControlScheme public surface: config parsing (the --fc= spec
-// grammar, strict like --chaos=/--migrate=), the factory, channel-based
+// grammar, strict like --chaos=), the factory, channel-based
 // statistics, core::run_flow_control integration, and the paper's headline
 // contrast against the hot-potato network. Scheme *physics* (hand-computed
 // traces, credits, conformance across the family) live in

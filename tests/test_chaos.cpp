@@ -371,6 +371,39 @@ TEST(FlowControl, BudgetedRunIsRepeatable) {
   EXPECT_EQ(PholdModel::digest(*a), PholdModel::digest(*b));
 }
 
+// A budget the seeded events alone already fill cannot be held: the run
+// still completes, but the engine says so once on stderr, naming the PE.
+// The quickstart Time Warp config (16x16 torus, 4 PEs, 64 KPs) seeds up to
+// 287 envelopes on one PE: budget 64 (hard mark 48) cannot hold them,
+// budget 1024 (hard mark 768) can.
+std::string budget_warning(std::uint64_t budget) {
+  core::SimulationOptions opts;
+  opts.model.n = 16;
+  opts.model.injector_fraction = 0.5;
+  opts.model.steps = 20;
+  opts.kernel = core::Kernel::TimeWarp;
+  opts.engine.seed = 1;
+  opts.engine.num_pes = 4;
+  opts.engine.num_kps = 64;
+  opts.engine.optimism_window = 30.0;
+  opts.engine.pool_budget_envelopes = budget;
+  ::testing::internal::CaptureStderr();
+  core::run_hotpotato(opts);
+  return ::testing::internal::GetCapturedStderr();
+}
+
+TEST(FlowControl, WarnsWhenTheSeededWorkingSetFillsTheBudget) {
+  const std::string tight = budget_warning(64);
+  EXPECT_NE(tight.find("warning: pool budget of 64 envelopes"),
+            std::string::npos)
+      << tight;
+  EXPECT_NE(tight.find("PE 3 holds 287 envelopes"), std::string::npos)
+      << tight;
+  EXPECT_NE(tight.find("hard mark 48"), std::string::npos) << tight;
+  const std::string roomy = budget_warning(1024);
+  EXPECT_EQ(roomy.find("warning: pool budget"), std::string::npos) << roomy;
+}
+
 // --------------------------------------------------- watchdog x PE stalls
 //
 // The watchdog must tell two fates apart: a FaultPlan stall that ends on

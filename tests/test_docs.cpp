@@ -86,8 +86,7 @@ TEST(MetricsDoc, CoversEveryMonitorKey) {
       "processed",     "rolled_back",  "event_rate",
       "rollback_rate", "inbox_depth",  "pool_live",
       "pool_bytes",    "throttled_pes", "blocked_pes",
-      "kp_migrations", "mapping_epoch", "commit_latency_p99_us",
-      "top_offender_kp", "top_offender_events",
+      "commit_latency_p99_us", "top_offender_kp", "top_offender_events",
   };
   for (const char* k : keys) {
     EXPECT_TRUE(mentions(doc, k))
@@ -98,7 +97,7 @@ TEST(MetricsDoc, CoversEveryMonitorKey) {
 TEST(CliDoc, CoversTheUserFacingFlagSet) {
   const std::string doc = read_file("docs/CLI.md");
   const char* flags[] = {
-      "--chaos=", "--pool-budget", "--monitor", "--migrate=",
+      "--chaos=", "--pool-budget", "--monitor",
       "--json=",  "--csv=",        "--pes",     "--trace",
       "--fc=",    "--telemetry",   "--metrics-endpoint=",
       "--metrics-out=", "--checkpoint=", "--restore=", "--watchdog=",
@@ -106,6 +105,10 @@ TEST(CliDoc, CoversTheUserFacingFlagSet) {
   // There is one GVT algorithm and no flag to pick one; the CLI reference
   // must not advertise one.
   EXPECT_FALSE(mentions(doc, "--gvt=")) << "docs/CLI.md documents --gvt=";
+  // Nor one that moves KPs between PEs: the static mapping is the only
+  // placement.
+  EXPECT_FALSE(mentions(doc, "--migrate="))
+      << "docs/CLI.md documents --migrate=";
   // ...and the full --fc= grammar: every key and scheme name.
   for (const char* k : {"scheme=", "qcap=", "flit=", "credit_delay=",
                         "saf", "vct", "wormhole"}) {
@@ -139,7 +142,7 @@ TEST(ArchitectureDoc, WalksTheLayersAndTheRemotePath) {
     EXPECT_TRUE(mentions(doc, layer)) << "missing layer '" << layer << "'";
   }
   // Engine lifecycle and the remote event walkthrough.
-  for (const char* s : {"rollback", "GVT", "fossil", "migrat", "inbox",
+  for (const char* s : {"rollback", "GVT", "fossil", "lp_pe_", "inbox",
                         "anti-message"}) {
     EXPECT_TRUE(mentions(doc, s)) << "missing lifecycle term '" << s << "'";
   }
@@ -164,8 +167,8 @@ TEST(GvtDoc, DescribesTheBarrierRoundAndTheCommitPoint) {
   const std::string doc = read_file("docs/GVT.md");
   for (const char* s :
        {"barrier", "gvt_round", "commit_point", "trigger", "transient",
-        "inbox", "in flight", "held_min", "fossil", "checkpoint", "migration",
-        "quiesce", "optimism", "asynchronous"}) {
+        "inbox", "in flight", "held_min", "fossil", "checkpoint", "quiesce",
+        "optimism", "asynchronous"}) {
     EXPECT_TRUE(mentions(doc, s)) << "missing GVT term '" << s << "'";
   }
 }

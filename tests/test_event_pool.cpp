@@ -144,39 +144,6 @@ TEST(EventPoolSlab, CrossPoolFreeMovesLiveCount) {
   receiver.free(ev);
 }
 
-TEST(EventPoolSlab, AdoptionMovesLiveButNotPeakLive) {
-  // KP migration handoff: the receiving pool's live() must rise (the
-  // adoptees are real pressure for flow control) but peak_live() must not —
-  // no storage was allocated there. Historical bug: adjust_live bumped
-  // peak_live_, inflating the receiver's memory figure on every handoff.
-  EventPool src, dst;
-  std::vector<Event*> moved;
-  for (int i = 0; i < 10; ++i) moved.push_back(src.allocate());
-  EXPECT_EQ(src.live(), 10);
-  EXPECT_EQ(src.peak_live(), 10);
-
-  src.adjust_live(-10);
-  dst.adjust_live(10);
-  EXPECT_EQ(src.live(), 0);
-  EXPECT_EQ(dst.live(), 10);
-  EXPECT_EQ(dst.peak_live(), 0) << "adoption must not move the allocation "
-                                   "high-water";
-  EXPECT_EQ(dst.adopted(), 10);
-  EXPECT_EQ(dst.peak_adopted(), 10);
-  EXPECT_EQ(src.adopted(), -10);
-  EXPECT_EQ(src.peak_adopted(), 0);
-
-  // Handing back: live returns, peak_adopted stays at its high-water.
-  dst.adjust_live(-10);
-  src.adjust_live(10);
-  EXPECT_EQ(dst.live(), 0);
-  EXPECT_EQ(dst.peak_adopted(), 10);
-  EXPECT_EQ(src.live(), 10);
-  EXPECT_EQ(src.peak_live(), 10);
-  for (Event* ev : moved) src.free(ev);
-  EXPECT_EQ(src.live(), 10 - 10);
-}
-
 TEST(EventPoolSlab, PeakLiveTracksAllocationsOnly) {
   EventPool pool;
   std::vector<Event*> held;
